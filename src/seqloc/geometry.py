@@ -328,10 +328,6 @@ def adjoint(T: Pose) -> np.ndarray:
     return A
 
 
-def _so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
-    return _so3_V_inv(phi)
-
-
 def _se3_Q(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Q block of the SE(3) left Jacobian (Barfoot's closed form)."""
     theta = float(np.linalg.norm(phi))
@@ -355,7 +351,7 @@ def _se3_Q(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def se3_left_jacobian_inv(tau) -> np.ndarray:
     tau = np.asarray(tau, dtype=float).reshape(6)
     rho, phi = tau[:3], tau[3:]
-    Jinv = _so3_left_jacobian_inv(phi)
+    Jinv = _so3_V_inv(phi)
     Q = _se3_Q(rho, phi)
     out = np.zeros((6, 6))
     out[:3, :3] = Jinv

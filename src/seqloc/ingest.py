@@ -142,11 +142,17 @@ def _read_rows(path: Path, expected_header=None) -> list[dict]:
         except StopIteration:
             raise MalformedRecordError("empty file, header expected", path=path)
         header = [h.strip() for h in header]
+        if len(set(header)) != len(header) or "_line" in header:
+            raise MalformedRecordError(
+                f"header {header} repeats a column name or uses '_line'", path=path, record=1
+            )
         if expected_header is not None and header[: len(expected_header)] != list(
             expected_header
         ):
             raise MalformedRecordError(
-                f"header {header} does not start with {list(expected_header)}", path=path
+                f"header {header} does not start with {list(expected_header)}",
+                path=path,
+                record=1,
             )
         rows = []
         for lineno, raw in enumerate(reader, start=2):
@@ -164,28 +170,24 @@ def _read_rows(path: Path, expected_header=None) -> list[dict]:
 
 def _parse_float(row: dict, key: str, path: Path):
     try:
-        return float(row[key])
+        v = float(row[key])
     except (KeyError, ValueError):
+        v = math.nan
+    if not math.isfinite(v):
         raise MalformedRecordError(
-            f"field {key!r} is not a number", path=path, record=row.get("_line")
+            f"field {key!r} is not a finite number", path=path, record=row.get("_line")
         )
+    return v
 
 
 def _parse_pose_fields(row: dict, path: Path) -> Pose | None:
-    cells = [row.get(k, "") for k in ("qw", "qx", "qy", "qz", "tx", "ty", "tz")]
-    if all(c == "" for c in cells):
+    keys = ("qw", "qx", "qy", "qz", "tx", "ty", "tz")
+    if all(row.get(k, "") == "" for k in keys):
         return None
-    vals = []
-    for k, c in zip(("qw", "qx", "qy", "qz", "tx", "ty", "tz"), cells):
-        try:
-            vals.append(float(c))
-        except ValueError:
-            raise MalformedRecordError(
-                f"pose field {k!r} is not a number", path=path, record=row.get("_line")
-            )
+    vals = [_parse_float(row, k, path) for k in keys]
     try:
         return Pose(Quaternion(*vals[:4]), vals[4:])
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise MalformedRecordError(str(e), path=path, record=row.get("_line"))
 
 
@@ -236,12 +238,35 @@ def _load_intrinsics(side: Path) -> dict[str, CameraIntrinsics]:
                 fy=_parse_float(r, "fy", path),
                 cx=_parse_float(r, "cx", path),
                 cy=_parse_float(r, "cy", path),
-                width=int(float(r["width"])),
-                height=int(float(r["height"])),
+                width=int(_parse_float(r, "width", path)),
+                height=int(_parse_float(r, "height", path)),
             )
         except ValueError as e:
             raise InvariantError(str(e), path=path, record=r["_line"])
         out[r["camera_id"]] = intr
+    return out
+
+
+def _keypoint_indices(rows: list[dict], path: Path) -> list[int]:
+    """The idx column of a per-keypoint file: each row a distinct integer in [0, n)."""
+    n = len(rows)
+    seen = [False] * n
+    out = []
+    for r in rows:
+        try:
+            i = int(r["idx"])
+        except ValueError:
+            raise MalformedRecordError(
+                f"idx {r['idx']!r} is not an integer", path=path, record=r["_line"]
+            )
+        if not 0 <= i < n:
+            raise MalformedRecordError(
+                f"idx {i} outside [0, {n})", path=path, record=r["_line"]
+            )
+        if seen[i]:
+            raise MalformedRecordError(f"idx {i} repeated", path=path, record=r["_line"])
+        seen[i] = True
+        out.append(i)
     return out
 
 
@@ -251,12 +276,7 @@ def _load_keypoints(side: Path, frame: Frame) -> None:
         return
     rows = _read_rows(path, expected_header=("idx", "u", "v"))
     kps = np.zeros((len(rows), 2))
-    for r in rows:
-        i = int(r["idx"])
-        if not 0 <= i < len(rows):
-            raise MalformedRecordError(
-                f"keypoint idx {i} out of order", path=path, record=r["_line"]
-            )
+    for i, r in zip(_keypoint_indices(rows, path), rows):
         u, v = _parse_float(r, "u", path), _parse_float(r, "v", path)
         if not (0 <= u < frame.intrinsics.width and 0 <= v < frame.intrinsics.height):
             raise InvariantError(
@@ -294,10 +314,21 @@ def _load_descriptors(side: Path, frame: Frame) -> None:
         )
     dim = len(rows[0]) - 2 if rows else 0
     desc = np.zeros((len(rows), dim))
-    for r in rows:
-        i = int(r["idx"])
+    order = _keypoint_indices(rows, path)
+    for i, r in zip(order, rows):
         vals = [v for k, v in r.items() if k not in ("_line", "idx")]
-        desc[i] = [float(v) for v in vals]
+        try:
+            desc[i] = [float(v) for v in vals]
+        except ValueError:
+            raise MalformedRecordError(
+                "descriptor value is not a number", path=path, record=r["_line"]
+            )
+    finite = np.isfinite(desc).all(axis=1)
+    if not finite.all():
+        r = rows[order.index(int(np.argmin(finite)))]
+        raise MalformedRecordError(
+            "descriptor value is not finite", path=path, record=r["_line"]
+        )
     frame.descriptors = desc
 
 
@@ -312,8 +343,15 @@ def _load_point_ids(side: Path, frame: Frame) -> None:
             path=path,
         )
     ids = np.zeros(len(rows), dtype=int)
-    for r in rows:
-        ids[int(r["idx"])] = int(r["point_id"])
+    for i, r in zip(_keypoint_indices(rows, path), rows):
+        try:
+            ids[i] = int(r["point_id"])
+        except (ValueError, OverflowError):
+            raise MalformedRecordError(
+                f"point_id {r['point_id']!r} is not a 64-bit integer",
+                path=path,
+                record=r["_line"],
+            )
     frame.point_ids = ids
 
 
@@ -486,7 +524,12 @@ def _load_covariance(side: Path) -> np.ndarray:
     path = side / "odometry_covariance.csv"
     if not path.is_file():
         return default_odometry_covariance()
-    vals = np.loadtxt(path, delimiter=",").reshape(-1)
+    try:
+        vals = np.loadtxt(path, delimiter=",").reshape(-1)
+    except ValueError as e:
+        raise MalformedRecordError(f"bad covariance value: {e}", path=path)
+    if not np.all(np.isfinite(vals)):
+        raise MalformedRecordError("covariance value is not finite", path=path)
     if vals.size != 36:
         raise MalformedRecordError(
             f"expected 36 covariance values, got {vals.size}", path=path

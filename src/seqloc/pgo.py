@@ -2,13 +2,15 @@
 
 Nodes are the global poses T(r<-i) of all frames in the batch; consecutive
 frames are linked by relative odometry constraints weighted by the sequence
-covariance, with a robust kernel on every factor. The node with the most PnP
-inliers is fixed to remove the gauge freedom.
+covariance. Every factor carries a Huber kernel on its squared Mahalanobis
+norm, quadratic up to HUBER_THRESHOLD and linear in the norm beyond it. The
+node with the most PnP inliers is fixed to remove the gauge freedom.
 
 Two modes ship. paper_literal uses only the relative chain: with a single
 fixed node the exactly-determined optimum is dead reckoning from the anchor.
 prior_augmented (default) additionally anchors every localized node to its
-PnP estimate with an inlier-weighted prior, so all localization evidence
+PnP estimate with an inlier-weighted prior of covariance
+PRIOR_SIGMA_SCALE^2 * Sigma / inlier_count, so all localization evidence
 shapes the result.
 """
 
@@ -17,15 +19,19 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import Pose, adjoint, boxminus, boxplus, se3_right_jacobian_inv
 from .pose_estimation import PoseEstimate, PoseStatus
 
-# Huber/Tukey transition point on the squared Mahalanobis norm: chi^2-style
-# gate scaled to 6 DoF.
-DEFAULT_KERNEL_PARAM = 12.59
+# Huber transition point on the squared Mahalanobis norm: chi^2-style gate
+# scaled to 6 DoF.
+HUBER_THRESHOLD = 12.59
+
+# A PnP prior's standard deviation, in odometry sigmas, at one inlier.
+PRIOR_SIGMA_SCALE = 10.0
 
 COST_FLOOR = 1e-24
 
@@ -33,12 +39,6 @@ COST_FLOOR = 1e-24
 class PgoMode(str, enum.Enum):
     PAPER_LITERAL = "paper_literal"
     PRIOR_AUGMENTED = "prior_augmented"
-
-
-class RobustKernel(str, enum.Enum):
-    HUBER = "huber"
-    TUKEY = "tukey"
-    NONE = "none"
 
 
 class GraphBuildError(ValueError):
@@ -68,8 +68,6 @@ class PoseGraph:
     fixed: int
     edges: list[OdometryEdge]
     priors: list[PriorFactor]
-    kernel: RobustKernel = RobustKernel.HUBER
-    kernel_param: float = DEFAULT_KERNEL_PARAM
 
 
 @dataclass
@@ -97,30 +95,21 @@ def residual_with_jacobians(measurement: Pose, T_a: Pose, T_b: Pose):
     return e, J_a, J_b
 
 
-def prior_residual_with_jacobian(target: Pose, T: Pose):
-    e = boxminus(T, target)
-    return e, se3_right_jacobian_inv(e)
-
-
 def build_graph(
     estimates: list[PoseEstimate],
     odometry: list[Pose],
     covariance: np.ndarray,
     mode: PgoMode | str = PgoMode.PRIOR_AUGMENTED,
-    *,
-    prior_sigma_scale: float = 10.0,
-    kernel: RobustKernel | str = RobustKernel.HUBER,
-    kernel_param: float = DEFAULT_KERNEL_PARAM,
 ) -> PoseGraph:
     """Nodes for all N frames, odometry edges for every consecutive pair.
 
     Localized nodes start at their PnP estimate; the rest are propagated from
     the nearest localized node along odometry. The max-inlier node is fixed
     (ties: lowest index). prior_augmented adds one prior per localized node
-    with covariance prior_sigma_scale^2 * Sigma / inlier_count.
+    with covariance PRIOR_SIGMA_SCALE^2 * Sigma / inlier_count. Every factor
+    gets the Huber kernel at HUBER_THRESHOLD; the mode is the only setting.
     """
     mode = PgoMode(mode)
-    kernel = RobustKernel(kernel)
     n = len(estimates)
     if n != len(odometry):
         raise GraphBuildError(f"{n} estimates vs {len(odometry)} odometry poses")
@@ -154,7 +143,7 @@ def build_graph(
     priors: list[PriorFactor] = []
     if mode is PgoMode.PRIOR_AUGMENTED:
         for i in localized:
-            prior_info = info * (estimates[i].inlier_count / prior_sigma_scale**2)
+            prior_info = info * (estimates[i].inlier_count / PRIOR_SIGMA_SCALE**2)
             priors.append(
                 PriorFactor(node=i, target=estimates[i].pose, information=prior_info)
             )
@@ -165,38 +154,68 @@ def build_graph(
         fixed=fixed,
         edges=edges,
         priors=priors,
-        kernel=kernel,
-        kernel_param=kernel_param,
     )
 
 
-def _rho_and_weight(s: float, kernel: RobustKernel, p: float) -> tuple[float, float]:
-    """Robust cost and IRLS weight for one factor's squared Mahalanobis norm."""
-    if kernel is RobustKernel.NONE or s <= 0.0:
+def _rho_and_weight(s: float) -> tuple[float, float]:
+    """Huber cost and IRLS weight for one factor's squared Mahalanobis norm."""
+    if s <= HUBER_THRESHOLD:
         return s, 1.0
-    if kernel is RobustKernel.HUBER:
-        if s <= p:
-            return s, 1.0
-        d = math.sqrt(p)
-        return 2.0 * d * math.sqrt(s) - p, d / math.sqrt(s)
-    # Tukey biweight
-    if s >= p:
-        return p / 3.0, 0.0
-    r = 1.0 - s / p
-    return p / 3.0 * (1.0 - r**3), r * r
+    d = math.sqrt(HUBER_THRESHOLD)
+    return 2.0 * d * math.sqrt(s) - HUBER_THRESHOLD, d / math.sqrt(s)
 
 
-def _graph_cost(graph: PoseGraph, nodes: list[Pose]) -> float:
-    total = 0.0
+class _Factor(NamedTuple):
+    """One factor linearized at the current nodes."""
+
+    nodes: tuple[int, ...]  # (i, i + 1) for an odometry edge, (node,) for a prior
+    e: np.ndarray
+    J: tuple[np.ndarray, ...]  # one 6x6 block per node
+    info: np.ndarray
+    w: float  # Huber IRLS weight
+
+
+def _evaluate(graph: PoseGraph, nodes: list[Pose]) -> tuple[float, list[_Factor]]:
+    """Total robust cost and every factor at nodes: the edges, then the priors.
+
+    Raises RotationSingularity (a ValueError) when a residual is undefined.
+    """
+    cost = 0.0
+    factors = []
     for edge in graph.edges:
-        e = residual(edge.measurement, nodes[edge.i], nodes[edge.i + 1])
-        rho, _ = _rho_and_weight(float(e @ edge.information @ e), graph.kernel, graph.kernel_param)
-        total += rho
+        a, b = edge.i, edge.i + 1
+        e, Ja, Jb = residual_with_jacobians(edge.measurement, nodes[a], nodes[b])
+        rho, w = _rho_and_weight(float(e @ edge.information @ e))
+        cost += rho
+        factors.append(_Factor((a, b), e, (Ja, Jb), edge.information, w))
     for prior in graph.priors:
         e = boxminus(nodes[prior.node], prior.target)
-        rho, _ = _rho_and_weight(float(e @ prior.information @ e), graph.kernel, graph.kernel_param)
-        total += rho
-    return total
+        rho, w = _rho_and_weight(float(e @ prior.information @ e))
+        cost += rho
+        factors.append(
+            _Factor((prior.node,), e, (se3_right_jacobian_inv(e),), prior.information, w)
+        )
+    return cost, factors
+
+
+def _normal_equations(
+    factors: list[_Factor], slot: dict[int, int], dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted Gauss-Newton H and g over the free nodes' state slots."""
+    H = np.zeros((dim, dim))
+    g = np.zeros(dim)
+    for f in factors:
+        for node, J in zip(f.nodes, f.J):
+            if node in slot:
+                k = slot[node] * 6
+                H[k : k + 6, k : k + 6] += f.w * J.T @ f.info @ J
+                g[k : k + 6] += f.w * J.T @ f.info @ f.e
+        if len(f.nodes) == 2 and all(node in slot for node in f.nodes):
+            ka, kb = (slot[node] * 6 for node in f.nodes)
+            blk = f.w * f.J[0].T @ f.info @ f.J[1]
+            H[ka : ka + 6, kb : kb + 6] += blk
+            H[kb : kb + 6, ka : ka + 6] += blk.T
+    return H, g
 
 
 def optimize(
@@ -206,14 +225,15 @@ def optimize(
 
     The fixed node is excluded from the state and returned bit-identical to
     its initialization. Accepted steps strictly decrease the robust cost.
+    Each trial evaluates every factor once; the evaluation of an accepted
+    step gives the next normal equations and, at the end, the weights.
     """
     nodes = list(graph.nodes)
-    n = len(nodes)
-    free = [i for i in range(n) if i != graph.fixed]
+    free = [i for i in range(len(nodes)) if i != graph.fixed]
     slot = {node: k for k, node in enumerate(free)}
     dim = 6 * len(free)
 
-    cost = _graph_cost(graph, nodes)
+    cost, factors = _evaluate(graph, nodes)
     initial_cost = cost
     lam = 1e-4
     converged = False
@@ -223,35 +243,7 @@ def optimize(
         if not free or cost < COST_FLOOR:
             converged = True
             break
-        H = np.zeros((dim, dim))
-        g = np.zeros(dim)
-
-        def add_block(node_idx, J, e, info, w):
-            if node_idx not in slot:
-                return
-            k = slot[node_idx] * 6
-            H[k : k + 6, k : k + 6] += w * J.T @ info @ J
-            g[k : k + 6] += w * J.T @ info @ e
-
-        def add_cross(na, nb, Ja, Jb, info, w):
-            if na not in slot or nb not in slot:
-                return
-            ka, kb = slot[na] * 6, slot[nb] * 6
-            blk = w * Ja.T @ info @ Jb
-            H[ka : ka + 6, kb : kb + 6] += blk
-            H[kb : kb + 6, ka : ka + 6] += blk.T
-
-        for edge in graph.edges:
-            a, b = edge.i, edge.i + 1
-            e, Ja, Jb = residual_with_jacobians(edge.measurement, nodes[a], nodes[b])
-            _, w = _rho_and_weight(float(e @ edge.information @ e), graph.kernel, graph.kernel_param)
-            add_block(a, Ja, e, edge.information, w)
-            add_block(b, Jb, e, edge.information, w)
-            add_cross(a, b, Ja, Jb, edge.information, w)
-        for prior in graph.priors:
-            e, J = prior_residual_with_jacobian(prior.target, nodes[prior.node])
-            _, w = _rho_and_weight(float(e @ prior.information @ e), graph.kernel, graph.kernel_param)
-            add_block(prior.node, J, e, prior.information, w)
+        H, g = _normal_equations(factors, slot, dim)
 
         stepped = False
         for _ in range(12):
@@ -271,13 +263,13 @@ def optimize(
             for node_idx, k in slot.items():
                 candidate[node_idx] = boxplus(nodes[node_idx], delta[6 * k : 6 * k + 6])
             try:
-                new_cost = _graph_cost(graph, candidate)
+                new_cost, new_factors = _evaluate(graph, candidate)
             except ValueError:
                 lam *= 10.0
                 continue
             if new_cost < cost:
                 rel = (cost - new_cost) / max(cost, 1e-300)
-                nodes, cost = candidate, new_cost
+                nodes, cost, factors = candidate, new_cost, new_factors
                 lam = max(lam * 0.1, 1e-12)
                 stepped = True
                 iterations += 1
@@ -294,25 +286,13 @@ def optimize(
         if converged:
             break
 
-    edge_weights = []
-    for edge in graph.edges:
-        e = residual(edge.measurement, nodes[edge.i], nodes[edge.i + 1])
-        edge_weights.append(
-            _rho_and_weight(float(e @ edge.information @ e), graph.kernel, graph.kernel_param)[1]
-        )
-    prior_weights = []
-    for prior in graph.priors:
-        e = boxminus(nodes[prior.node], prior.target)
-        prior_weights.append(
-            _rho_and_weight(float(e @ prior.information @ e), graph.kernel, graph.kernel_param)[1]
-        )
-
+    n_edges = len(graph.edges)
     report = PgoReport(
         iterations=iterations,
         initial_cost=initial_cost,
         final_cost=cost,
         converged=converged,
-        edge_weights=edge_weights,
-        prior_weights=prior_weights,
+        edge_weights=[f.w for f in factors[:n_edges]],
+        prior_weights=[f.w for f in factors[n_edges:]],
     )
     return nodes, report

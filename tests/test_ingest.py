@@ -2,10 +2,15 @@
 
 import csv
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqloc.geometry import CameraIntrinsics, Pose, Quaternion
 from seqloc.ingest import (
@@ -55,6 +60,25 @@ def make_dataset(rng, n_queries=4, n_refs=3):
         )
     refs = [make_frame(rng, f"r{i:04d}") for i in range(n_refs)]
     return QuerySequence(rigs=rigs), refs
+
+
+def save_with_point_ids(rng, root):
+    """A saved dataset whose frames carry all three per-keypoint files."""
+    seq, refs = make_dataset(rng)
+    for f in refs + [r.frames["cam0"] for r in seq.rigs]:
+        f.point_ids = 100 + np.arange(len(f.keypoints))
+    save_dataset(root, seq, refs)
+
+
+def edit_cell(path, row, col, text):
+    """Replace one cell of a CSV file (text may be a function of the rows); returns the old cell."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    old = rows[row][col]
+    rows[row][col] = text(rows) if callable(text) else text
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return old
 
 
 class TestRoundTrip:
@@ -114,11 +138,7 @@ class TestLoadErrors:
     def test_keypoint_out_of_bounds(self, rng, tmp_path):
         seq, refs = make_dataset(rng)
         save_dataset(tmp_path, seq, refs)
-        path = tmp_path / "queries" / "keypoints" / "q0000.csv"
-        rows = list(csv.reader(open(path)))
-        rows[1][1] = "100000.0"
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+        edit_cell(tmp_path / "queries" / "keypoints" / "q0000.csv", 1, 1, "100000.0")
         with pytest.raises(InvariantError, match="outside image bounds"):
             load_dataset(tmp_path)
 
@@ -126,27 +146,86 @@ class TestLoadErrors:
         seq, refs = make_dataset(rng)
         save_dataset(tmp_path, seq, refs)
         path = tmp_path / "references" / "poses.csv"
-        rows = list(csv.reader(open(path)))
-        rows[1][2] = "not-a-number"
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-        with pytest.raises(MalformedRecordError):
-            load_dataset(tmp_path)
+        cells = ((2, "not-a-number"), (3, "nan"), (6, "inf"), (8, "-inf"), (2, "1e300"))
+        for col, cell in cells:
+            original = edit_cell(path, 1, col, cell)
+            with pytest.raises(MalformedRecordError, match=r"poses\.csv:2\]"):
+                load_dataset(tmp_path)
+            edit_cell(path, 1, col, original)
+        load_dataset(tmp_path)
+
+    def test_malformed_intrinsics_row(self, rng, tmp_path):
+        seq, refs = make_dataset(rng)
+        save_dataset(tmp_path, seq, refs)
+        path = tmp_path / "queries" / "intrinsics.csv"
+        for col, cell in ((1, "x"), (5, "inf"), (6, "1e400")):
+            original = edit_cell(path, 1, col, cell)
+            with pytest.raises(MalformedRecordError, match=r"intrinsics\.csv:2\]"):
+                load_dataset(tmp_path)
+            edit_cell(path, 1, col, original)
+        load_dataset(tmp_path)
 
     def test_bad_covariance(self, rng, tmp_path):
         seq, refs = make_dataset(rng)
         save_dataset(tmp_path, seq, refs)
-        np.savetxt(
-            tmp_path / "queries" / "odometry_covariance.csv",
-            -np.eye(6),
-            delimiter=",",
-        )
-        with pytest.raises(InvariantError, match="positive definite"):
-            load_dataset(tmp_path)
+        path = tmp_path / "queries" / "odometry_covariance.csv"
+        for cell, error, match in (
+            (None, InvariantError, "positive definite"),
+            ("abc", MalformedRecordError, "bad covariance value"),
+            ("nan", MalformedRecordError, "not finite"),
+            ("inf", MalformedRecordError, "not finite"),
+        ):
+            np.savetxt(path, -np.eye(6), delimiter=",")
+            if cell is not None:
+                edit_cell(path, 2, 3, cell)
+            with pytest.raises(error, match=match):
+                load_dataset(tmp_path)
 
     def test_errors_are_dataset_errors(self):
         with pytest.raises(DatasetError):
             load_dataset("/nonexistent/nowhere")
+
+
+PER_KEYPOINT_COLUMNS = {"keypoints": 3, "descriptors": 9, "point_ids": 2}
+
+PER_KEYPOINT_FAULTS = {
+    # (line, column, new cell text)
+    "non_numeric_idx": (3, 0, "x"),
+    "non_numeric_value": (3, 1, "x"),
+    "non_finite_value": (3, 1, "nan"),
+    "repeated_idx": (3, 0, lambda rows: rows[1][0]),
+    "idx_out_of_range": (3, 0, "9"),
+    "negative_idx": (3, 0, "-1"),
+    "repeated_column_name": (1, 1, lambda rows: rows[0][0]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PER_KEYPOINT_FAULTS))
+@pytest.mark.parametrize("kind", sorted(PER_KEYPOINT_COLUMNS))
+def test_per_keypoint_fault_names_file_and_line(rng, tmp_path, kind, fault):
+    save_with_point_ids(rng, tmp_path)
+    line, col, text = PER_KEYPOINT_FAULTS[fault]
+    edit_cell(tmp_path / "queries" / kind / "q0000.csv", line - 1, col, text)
+    with pytest.raises(MalformedRecordError, match=re.escape(f"{kind}/q0000.csv:{line}]")):
+        load_dataset(tmp_path)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(PER_KEYPOINT_COLUMNS)),
+    row=st.integers(0, 5),  # header and the five keypoints
+    col=st.integers(0, 8),
+    text=st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+def test_fuzzed_per_keypoint_cell_loads_or_raises_dataset_error(kind, row, col, text):
+    with tempfile.TemporaryDirectory() as d:
+        save_with_point_ids(np.random.default_rng(0), d)
+        path = Path(d) / "queries" / kind / "q0001.csv"
+        edit_cell(path, row, col % PER_KEYPOINT_COLUMNS[kind], text)
+        try:
+            load_dataset(d)
+        except DatasetError:
+            pass
 
 
 class TestGeoReferences:

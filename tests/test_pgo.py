@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from seqloc.geometry import Pose, Quaternion, boxplus, se3_exp
+from seqloc.geometry import Pose, Quaternion, boxminus, boxplus, se3_exp
 from seqloc.pgo import (
+    HUBER_THRESHOLD,
     GraphBuildError,
     PgoMode,
-    RobustKernel,
     build_graph,
     optimize,
     residual,
@@ -231,3 +231,35 @@ class TestOptimize:
             n2, _ = optimize(g2, tol=1e-14)
             for a, b in zip(n1, n2):
                 assert G.compose(a).allclose(b, atol=1e-8)
+
+    def test_report_matches_huber_at_returned_nodes(self, rng):
+        def huber(s):
+            if s <= HUBER_THRESHOLD:
+                return s, 1.0
+            d = math.sqrt(HUBER_THRESHOLD)
+            return 2.0 * d * math.sqrt(s) - HUBER_THRESHOLD, d / math.sqrt(s)
+
+        for mode in PgoMode:
+            odom, truth = make_chain(rng, n=8)
+            ests = [
+                estimate(i, boxplus(truth[i], rng.normal(scale=0.3, size=6)), inliers=15 + i)
+                for i in range(8)
+            ]
+            g = build_graph(ests, odom, COV, mode=mode)
+            # stopped early, so that residuals on both sides of the threshold remain
+            nodes, rep = optimize(g, max_iters=1)
+            edges = [
+                huber(float(e @ edge.information @ e))
+                for edge in g.edges
+                for e in [residual(edge.measurement, nodes[edge.i], nodes[edge.i + 1])]
+            ]
+            priors = [
+                huber(float(e @ prior.information @ e))
+                for prior in g.priors
+                for e in [boxminus(nodes[prior.node], prior.target)]
+            ]
+            weights = [w for _, w in edges + priors]
+            assert min(weights) < 1.0 == max(weights)  # both Huber branches
+            assert rep.edge_weights == [w for _, w in edges]
+            assert rep.prior_weights == [w for _, w in priors]
+            assert rep.final_cost == sum(rho for rho, _ in edges + priors)

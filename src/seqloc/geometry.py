@@ -43,9 +43,14 @@ class Quaternion:
     z: float
 
     def __post_init__(self):
-        n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
+        try:
+            n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
+        except OverflowError:
+            n = math.inf
         if n < 1e-12:
             raise ValueError("cannot normalize a near-zero quaternion")
+        if n == math.inf:
+            raise ValueError("quaternion components too large to normalize")
         w, x, y, z = self.w, self.x, self.y, self.z
         # Skip division when already unit to the last bit: keeps serialization
         # round trips bit-exact.
@@ -417,3 +422,34 @@ def project_with_jacobian(
     )
     J = np.hstack([J_pi @ R, -J_pi @ R @ _skew(X)])
     return pix, J
+
+
+def project_points_with_jacobian(
+    K: CameraIntrinsics, T_cam_from_world: Pose, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized project_with_jacobian over (N,3) points.
+
+    Returns (N,2) pixels, (N,2,6) Jacobians w.r.t. a right perturbation
+    T*Exp(delta) and the (N,) mask of points in front of the camera
+    (depth > BEHIND_CAMERA_DEPTH). Rows outside the mask are finite but
+    meaningless.
+    """
+    X = np.asarray(points, dtype=float).reshape(-1, 3)
+    R = T_cam_from_world.rotation.matrix
+    pc = X @ R.T + T_cam_from_world.translation
+    z = pc[:, 2]
+    valid = z > BEHIND_CAMERA_DEPTH
+    inv_z = 1.0 / np.where(valid, z, 1.0)
+    uv = pc[:, :2] * inv_z[:, None]  # normalized image coordinates
+    f = np.array([K.fx, K.fy])
+    pix = uv * f + np.array([K.cx, K.cy])
+    # Rows of J_pi R: (f / z) (R_row - uv R_2), one (2,3) block per point.
+    a = (f * inv_z[:, None])[:, :, None] * (R[:2] - uv[:, :, None] * R[2])
+    J = np.empty((len(X), 2, 6))
+    J[:, :, :3] = a
+    # -J_pi R [X]x, row by row, is the cross product X x a.
+    x0, x1, x2 = (X[:, k, None] for k in range(3))
+    J[:, :, 3] = x1 * a[:, :, 2] - x2 * a[:, :, 1]
+    J[:, :, 4] = x2 * a[:, :, 0] - x0 * a[:, :, 2]
+    J[:, :, 5] = x0 * a[:, :, 1] - x1 * a[:, :, 0]
+    return pix, J, valid

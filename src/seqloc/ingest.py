@@ -187,7 +187,7 @@ def _parse_pose_fields(row: dict, path: Path) -> Pose | None:
     vals = [_parse_float(row, k, path) for k in keys]
     try:
         return Pose(Quaternion(*vals[:4]), vals[4:])
-    except (ValueError, OverflowError) as e:
+    except ValueError as e:
         raise MalformedRecordError(str(e), path=path, record=row.get("_line"))
 
 

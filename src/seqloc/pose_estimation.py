@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .geometry import CameraIntrinsics, Pose, boxplus, project_points, project_with_jacobian
+from .geometry import CameraIntrinsics, Pose, boxplus, project_points, project_points_with_jacobian
 
 log = logging.getLogger(__name__)
 
@@ -137,29 +137,20 @@ def p3p(points3d, pixels, K: CameraIntrinsics) -> list[Pose]:
 
 def _polish_minimal(T: Pose, pts, pix, K, iters: int = 10) -> Pose | None:
     """Gauss-Newton to machine precision on the exactly-determined 3-point system."""
-    for _ in range(iters):
-        J = np.zeros((6, 6))
-        r = np.zeros(6)
-        for i in range(3):
-            p, Ji = project_with_jacobian(K, T, pts[i])
-            if p is None:
-                return None
-            r[2 * i : 2 * i + 2] = p - pix[i]
-            J[2 * i : 2 * i + 2] = Ji
-        if np.abs(r).max() < 1e-9:
+    # The projection after the last step doubles as the closing error check.
+    for step in range(iters + 1):
+        p, J, ok = project_points_with_jacobian(K, T, pts)
+        if not ok.all():
+            return None
+        r = p - pix
+        if np.abs(r).max() < 1e-9 or step == iters:
             break
         try:
-            delta = np.linalg.solve(J, -r)
+            delta = np.linalg.solve(J.reshape(6, 6), -r.reshape(6))
         except np.linalg.LinAlgError:
             return None
         T = boxplus(T, delta)
-    err = max(
-        float(np.linalg.norm(project_with_jacobian(K, T, pts[i])[0] - pix[i]))
-        if project_with_jacobian(K, T, pts[i])[0] is not None
-        else math.inf
-        for i in range(3)
-    )
-    return T if err < 1e-6 else None
+    return T if np.linalg.norm(r, axis=1).max() < 1e-6 else None
 
 
 def dlt_pnp(points3d, pixels, K: CameraIntrinsics) -> Pose | None:
@@ -170,13 +161,12 @@ def dlt_pnp(points3d, pixels, K: CameraIntrinsics) -> Pose | None:
     if n < 6:
         return None
     xn = np.column_stack([(pix[:, 0] - K.cx) / K.fx, (pix[:, 1] - K.cy) / K.fy])
+    X = np.column_stack([pts, np.ones(n)])
     A = np.zeros((2 * n, 12))
-    for i in range(n):
-        X = np.append(pts[i], 1.0)
-        A[2 * i, 0:4] = X
-        A[2 * i, 8:12] = -xn[i, 0] * X
-        A[2 * i + 1, 4:8] = X
-        A[2 * i + 1, 8:12] = -xn[i, 1] * X
+    A[0::2, 0:4] = X
+    A[0::2, 8:12] = -xn[:, :1] * X
+    A[1::2, 4:8] = X
+    A[1::2, 8:12] = -xn[:, 1:] * X
     _, _, vt = np.linalg.svd(A)
     P = vt[-1].reshape(3, 4)
     # fix sign by cheirality of the centroid
@@ -234,11 +224,20 @@ def refine_pose(
 ) -> Pose:
     """Levenberg-Marquardt on Huber-weighted reprojection residuals.
 
-    Returns the best iterate; warns instead of raising when the iteration
-    budget runs out before convergence.
+    Each iteration builds the normal equations view by view: one batched
+    projection with Jacobians over the view's points, points behind their
+    camera left out, Huber-weighted sums by einsum. Returns the best iterate;
+    warns instead of raising when the iteration budget runs out before
+    convergence.
     """
     points = np.asarray(points, dtype=float)
     pixels = np.asarray(pixels, dtype=float)
+    cam_idx = np.asarray(cam_idx)
+    per_view = []
+    for k, view in enumerate(views):
+        sel = cam_idx == k
+        if sel.any():
+            per_view.append((view, points[sel], pixels[sel]))
 
     def cost(T: Pose) -> float:
         e = reprojection_errors(T, points, pixels, cam_idx, views)
@@ -253,17 +252,15 @@ def refine_pose(
     for _ in range(max_iters):
         H = np.zeros((6, 6))
         g = np.zeros(6)
-        for i in range(len(points)):
-            view = views[int(cam_idx[i])]
+        for view, X, x in per_view:
             W = view.T_cam_from_global.compose(T)
-            p, J = project_with_jacobian(view.K, W, points[i])
-            if p is None:
-                continue
-            r = p - pixels[i]
-            e = np.linalg.norm(r)
-            w = 1.0 if e <= huber_px else huber_px / e
-            H += w * J.T @ J
-            g += w * J.T @ r
+            p, J, ok = project_points_with_jacobian(view.K, W, X)
+            r = p[ok] - x[ok]
+            J = J[ok]
+            e = np.linalg.norm(r, axis=1)
+            w = huber_px / np.maximum(e, huber_px)  # 1 if e <= huber_px else huber_px / e
+            H += np.einsum("n,nij,nik->jk", w, J, J)
+            g += np.einsum("n,nij,ni->j", w, J, r)
         stepped = False
         for _ in range(8):
             try:

@@ -15,6 +15,7 @@ from seqloc.geometry import (
     boxplus,
     project,
     project_points,
+    project_points_with_jacobian,
     project_with_jacobian,
     rotation_half_angle,
     se3_exp,
@@ -221,6 +222,24 @@ class TestProject:
             denom = max(1.0, np.abs(J_fd).max())
             assert np.abs(J - J_fd).max() / denom < 1e-4
 
+    def test_batched_jacobian_matches_scalar(self, rng):
+        T = random_pose(rng, t_scale=0.5)
+        cam = np.column_stack(
+            [rng.uniform(-2, 2, 50), rng.uniform(-2, 2, 50), rng.uniform(-2, 6, 50)]
+        )
+        cam[:5, 2] = 0.0  # on the camera plane
+        pts = T.inverse().apply_many(cam)
+        pix, J, valid = project_points_with_jacobian(self.K, T, pts)
+        assert pix.shape == (50, 2) and J.shape == (50, 2, 6) and valid.shape == (50,)
+        assert 0 < valid.sum() < 40
+        for i in range(len(pts)):
+            p, Ji = project_with_jacobian(self.K, T, pts[i])
+            assert valid[i] == (p is not None)
+            if p is None:
+                continue
+            assert np.abs(pix[i] - p).max() <= 1e-12 * max(1.0, np.abs(p).max())
+            assert np.abs(J[i] - Ji).max() <= 1e-12 * max(1.0, np.abs(Ji).max())
+
 
 class TestQuaternion:
     def test_unit_norm_after_construction(self, rng):
@@ -232,6 +251,11 @@ class TestQuaternion:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             Quaternion(0, 0, 0, 0)
+
+    def test_overflowing_norm_rejected(self):
+        for big in (1e300, np.float64(1e300), math.inf):
+            with pytest.raises(ValueError, match="too large"), np.errstate(over="ignore"):
+                Quaternion(big, 1e300, 0, 0)
 
     def test_matrix_roundtrip(self, rng):
         for _ in range(200):

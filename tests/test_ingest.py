@@ -128,7 +128,8 @@ class TestLoadErrors:
         seq, refs = make_dataset(rng)
         save_dataset(tmp_path, seq, refs)
         path = tmp_path / "queries" / "poses.csv"
-        rows = list(csv.reader(open(path)))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
         rows[2][2:] = [""] * 7  # blank out frame q0001's pose
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)

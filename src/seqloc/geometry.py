@@ -224,8 +224,10 @@ class Pose:
     @staticmethod
     def from_array7(a) -> "Pose":
         """qw,qx,qy,qz,tx,ty,tz — the package's serialization order."""
-        a = np.asarray(a, dtype=float).reshape(7)
-        return Pose(Quaternion(a[0], a[1], a[2], a[3]), a[4:7])
+        # Python floats, so an overflowing component raises in Quaternion
+        # rather than warning as numpy scalar arithmetic would.
+        qw, qx, qy, qz, *t = np.asarray(a, dtype=float).reshape(7).tolist()
+        return Pose(Quaternion(qw, qx, qy, qz), t)
 
     def as_array7(self) -> np.ndarray:
         q = self.rotation

@@ -17,6 +17,8 @@ Directory layout (all files CSV with a header row):
 Query poses are odometry T(q<-frame); reference poses are global T(r<-frame).
 Multi-camera rig captures name their frames "<instance>/<camera_id>"; plain ids
 are treated as single-camera rigs. Frame instance ids must sort temporally.
+Every camera's odometry pose in an instance must equal the rig pose composed
+with that camera's extrinsic, to within RIG_TOL_M and RIG_TOL_RAD.
 """
 
 from __future__ import annotations
@@ -91,19 +93,6 @@ class Rig:
     frames: dict[str, Frame]
     pose: Pose | None = None  # odometry T(q<-rig)
 
-    def camera_pose(self, camera_id: str) -> Pose:
-        """Odometry pose of one camera: T(q<-cam) = T(q<-rig) * T(rig<-cam)."""
-        for cid, extr in self.cameras:
-            if cid == camera_id:
-                return self.pose.compose(extr)
-        raise KeyError(camera_id)
-
-    def extrinsic(self, camera_id: str) -> Pose:
-        for cid, extr in self.cameras:
-            if cid == camera_id:
-                return extr
-        raise KeyError(camera_id)
-
 
 @dataclass
 class QuerySequence:
@@ -125,98 +114,131 @@ def default_odometry_covariance(
     return np.diag([sigma_t_m**2] * 3 + [sr**2] * 3)
 
 
-# --- low-level csv helpers ----------------------------------------------------
+# --- csv tables ---------------------------------------------------------------
+
+_POSE_COLUMNS = ("qw", "qx", "qy", "qz", "tx", "ty", "tz")
+
+# Per-keypoint files: directory name (also the Frame attribute) -> leading columns.
+_PER_KEYPOINT = {
+    "keypoints": ("idx", "u", "v"),
+    "descriptors": ("idx",),
+    "point_ids": ("idx", "point_id"),
+}
+
+# Largest disagreement between a rig camera's odometry pose and the rig pose
+# composed with that camera's extrinsic.
+RIG_TOL_M = 1e-4
+RIG_TOL_RAD = 1e-4
+
+
+@dataclass(frozen=True)
+class _Table:
+    """One CSV file: its header, the stripped cells of each non-blank row, their lines."""
+
+    path: Path
+    header: list[str]
+    rows: list[list[str]]
+    lines: list[int]
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _read_rows(path: Path, expected_header=None) -> list[dict]:
+def _read_table(path: Path, expected_header=()) -> _Table:
+    """Read a CSV file, checking its header and the field count of every row."""
     if not path.is_file():
         raise MissingFileError("required file missing", path=path)
+    rows, lines = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
+            if len(set(header)) != len(header):
+                raise MalformedRecordError(f"header {header} repeats a column name", path, 1)
+            if header[: len(expected_header)] != list(expected_header):
+                raise MalformedRecordError(
+                    f"header {header} does not start with {list(expected_header)}", path, 1
+                )
+            for lineno, raw in enumerate(reader, start=2):
+                cells = [c.strip() for c in raw]
+                if not any(cells):
+                    continue
+                if len(cells) != len(header):
+                    raise MalformedRecordError(
+                        f"expected {len(header)} fields, got {len(cells)}", path, lineno
+                    )
+                rows.append(cells)
+                lines.append(lineno)
         except StopIteration:
             raise MalformedRecordError("empty file, header expected", path=path)
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header) or "_line" in header:
-            raise MalformedRecordError(
-                f"header {header} repeats a column name or uses '_line'", path=path, record=1
-            )
-        if expected_header is not None and header[: len(expected_header)] != list(
-            expected_header
-        ):
-            raise MalformedRecordError(
-                f"header {header} does not start with {list(expected_header)}",
-                path=path,
-                record=1,
-            )
-        rows = []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or all(not c.strip() for c in raw):
-                continue
-            if len(raw) != len(header):
-                raise MalformedRecordError(
-                    f"expected {len(header)} fields, got {len(raw)}",
-                    path=path,
-                    record=lineno,
-                )
-            rows.append({"_line": lineno, **dict(zip(header, (c.strip() for c in raw)))})
-    return rows
+        except (csv.Error, UnicodeDecodeError) as e:
+            raise MalformedRecordError(f"unreadable as CSV text: {e}", path=path)
+    return _Table(path, header, rows, lines)
 
 
-def _parse_float(row: dict, key: str, path: Path):
+def _block(table: _Table, columns, dtype=float) -> np.ndarray:
+    """The named columns as one (rows, columns) array.
+
+    Every cell must be a finite number (a 64-bit integer for an integer dtype);
+    the first that is not raises MalformedRecordError naming its line.
+    """
+    if not table.rows:
+        return np.zeros((0, len(columns)), dtype=dtype)
+    missing = [c for c in columns if c not in table.header]
+    if missing:
+        raise MalformedRecordError(f"column {missing[0]!r} missing", table.path, 1)
+    cols = [table.header.index(c) for c in columns]
+    cells = [r[j] for r in table.rows for j in cols]
     try:
-        v = float(row[key])
-    except (KeyError, ValueError):
-        v = math.nan
-    if not math.isfinite(v):
-        raise MalformedRecordError(
-            f"field {key!r} is not a finite number", path=path, record=row.get("_line")
-        )
-    return v
-
-
-def _parse_pose_fields(row: dict, path: Path) -> Pose | None:
-    keys = ("qw", "qx", "qy", "qz", "tx", "ty", "tz")
-    if all(row.get(k, "") == "" for k in keys):
-        return None
-    vals = [_parse_float(row, k, path) for k in keys]
-    try:
-        return Pose(Quaternion(*vals[:4]), vals[4:])
-    except ValueError as e:
-        raise MalformedRecordError(str(e), path=path, record=row.get("_line"))
-
-
-def write_pose_csv(path: Path, rows: list[tuple[str, str, Pose]]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frame_id", "camera_id", "qw", "qx", "qy", "qz", "tx", "ty", "tz"])
-        for frame_id, camera_id, pose in rows:
-            w.writerow([frame_id, camera_id] + [_fmt(v) for v in pose.as_array7()])
-
-
-def read_match_file(path: Path) -> list[tuple[int, int, float]]:
-    rows = _read_rows(path, expected_header=("idxA", "idxB", "score"))
-    out = []
-    for r in rows:
+        block = np.array(cells, dtype=dtype).reshape(len(table.rows), len(cols))
+        if np.isfinite(block).all():
+            return block
+    except (ValueError, OverflowError):
+        pass
+    kind = "a finite number" if dtype is float else "a 64-bit integer"
+    for k, cell in enumerate(cells):
         try:
-            out.append((int(r["idxA"]), int(r["idxB"]), float(r["score"])))
-        except ValueError:
-            raise MalformedRecordError("bad match row", path=path, record=r["_line"])
-    return out
+            bad = not np.isfinite(np.array(cell, dtype=dtype))
+        except (ValueError, OverflowError):
+            bad = True
+        if bad:
+            row, col = divmod(k, len(cols))
+            raise MalformedRecordError(
+                f"field {columns[col]!r} = {cell!r} is not {kind}", table.path, table.lines[row]
+            )
+
+
+def _write_table(path: Path, header, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+def _parse_pose_fields(table: _Table) -> list[Pose | None]:
+    """Each row's qw..tz as a Pose; None where those cells are all blank or absent."""
+    cols = [table.header.index(c) for c in _POSE_COLUMNS if c in table.header]
+    posed = [i for i, r in enumerate(table.rows) if any(r[j] for j in cols)]
+    lines = [table.lines[i] for i in posed]
+    sub = _Table(table.path, table.header, [table.rows[i] for i in posed], lines)
+    poses: list[Pose | None] = [None] * len(table.rows)
+    for i, line, a in zip(posed, lines, _block(sub, _POSE_COLUMNS).tolist()):
+        try:
+            poses[i] = Pose.from_array7(a)
+        except ValueError as e:
+            raise MalformedRecordError(str(e), path=table.path, record=line)
+    return poses
+
+
+def read_match_file(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The idxA, idxB and score columns of a match file."""
+    table = _read_table(path, ("idxA", "idxB", "score"))
+    idx = _block(table, ("idxA", "idxB"), np.int64)
+    return idx[:, 0], idx[:, 1], _block(table, ("score",))[:, 0]
 
 
 def write_match_file(path: Path, rows: list[tuple[int, int, float]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["idxA", "idxB", "score"])
-        for ia, ib, s in rows:
-            w.writerow([ia, ib, _fmt(s)])
+    _write_table(path, ("idxA", "idxB", "score"), ([a, b, _fmt(s)] for a, b, s in rows))
 
 
 def match_file_path(root: Path, frame_a: str, frame_b: str) -> Path:
@@ -228,131 +250,57 @@ def match_file_path(root: Path, frame_a: str, frame_b: str) -> Path:
 
 
 def _load_intrinsics(side: Path) -> dict[str, CameraIntrinsics]:
-    path = side / "intrinsics.csv"
-    rows = _read_rows(path, expected_header=("camera_id",))
+    table = _read_table(side / "intrinsics.csv", ("camera_id",))
+    values = _block(table, ("fx", "fy", "cx", "cy", "width", "height")).tolist()
     out = {}
-    for r in rows:
+    for (camera_id, *_), line, (fx, fy, cx, cy, w, h) in zip(table.rows, table.lines, values):
         try:
-            intr = CameraIntrinsics(
-                fx=_parse_float(r, "fx", path),
-                fy=_parse_float(r, "fy", path),
-                cx=_parse_float(r, "cx", path),
-                cy=_parse_float(r, "cy", path),
-                width=int(_parse_float(r, "width", path)),
-                height=int(_parse_float(r, "height", path)),
-            )
+            out[camera_id] = CameraIntrinsics(fx, fy, cx, cy, width=int(w), height=int(h))
         except ValueError as e:
-            raise InvariantError(str(e), path=path, record=r["_line"])
-        out[r["camera_id"]] = intr
+            raise InvariantError(str(e), path=table.path, record=line)
     return out
 
 
-def _keypoint_indices(rows: list[dict], path: Path) -> list[int]:
-    """The idx column of a per-keypoint file: each row a distinct integer in [0, n)."""
-    n = len(rows)
-    seen = [False] * n
-    out = []
-    for r in rows:
-        try:
-            i = int(r["idx"])
-        except ValueError:
-            raise MalformedRecordError(
-                f"idx {r['idx']!r} is not an integer", path=path, record=r["_line"]
-            )
-        if not 0 <= i < n:
-            raise MalformedRecordError(
-                f"idx {i} outside [0, {n})", path=path, record=r["_line"]
-            )
-        if seen[i]:
-            raise MalformedRecordError(f"idx {i} repeated", path=path, record=r["_line"])
-        seen[i] = True
-        out.append(i)
-    return out
+def _load_per_keypoint(side: Path, frame: Frame, kind: str) -> None:
+    """Set frame.<kind> from its per-keypoint file, if there is one.
 
-
-def _load_keypoints(side: Path, frame: Frame) -> None:
-    path = side / "keypoints" / f"{frame.frame_id.replace('/', '+')}.csv"
+    Each row's idx must be a distinct integer in [0, n); the row goes to that
+    index. Files other than the keypoints need one row per keypoint.
+    """
+    path = side / kind / f"{frame.frame_id.replace('/', '+')}.csv"
     if not path.is_file():
         return
-    rows = _read_rows(path, expected_header=("idx", "u", "v"))
-    kps = np.zeros((len(rows), 2))
-    for i, r in zip(_keypoint_indices(rows, path), rows):
-        u, v = _parse_float(r, "u", path), _parse_float(r, "v", path)
-        if not (0 <= u < frame.intrinsics.width and 0 <= v < frame.intrinsics.height):
+    table = _read_table(path, _PER_KEYPOINT[kind])
+    n = len(table.rows)
+    if kind != "keypoints" and n != len(frame.keypoints):
+        raise InvariantError(
+            f"{n} rows of {kind} for {len(frame.keypoints)} keypoints in {frame.frame_id}",
+            path=path,
+        )
+    idx = _block(table, ("idx",), np.int64)[:, 0]
+    if not np.array_equal(np.sort(idx), np.arange(n)):
+        seen = set()
+        for i, line in zip(idx.tolist(), table.lines):
+            if not 0 <= i < n or i in seen:
+                fault = "repeated" if i in seen else f"outside [0, {n})"
+                raise MalformedRecordError(f"idx {i} {fault}", path=path, record=line)
+            seen.add(i)
+
+    columns = _PER_KEYPOINT[kind][1:] or table.header[1:]
+    values = _block(table, columns, np.int64 if kind == "point_ids" else float)
+    if kind == "keypoints":
+        u, v = values.T
+        inside = (u >= 0) & (u < frame.intrinsics.width) & (v >= 0) & (v < frame.intrinsics.height)
+        if not inside.all():
+            r = int(np.argmin(inside))
             raise InvariantError(
-                f"keypoint ({u}, {v}) outside image bounds of {frame.frame_id}",
+                f"keypoint ({u[r]}, {v[r]}) outside image bounds of {frame.frame_id}",
                 path=path,
-                record=r["_line"],
+                record=table.lines[r],
             )
-        kps[i] = (u, v)
-    frame.keypoints = kps
-
-
-def _load_vector_table(path: Path) -> dict[str, np.ndarray]:
-    """frame_id,v0,...  -> id -> vector; dimensionality read from the header."""
-    rows = _read_rows(path)
-    out = {}
-    for r in rows:
-        vals = [v for k, v in r.items() if k not in ("_line", "frame_id")]
-        try:
-            out[r["frame_id"]] = np.array([float(v) for v in vals])
-        except ValueError:
-            raise MalformedRecordError("bad vector row", path=path, record=r["_line"])
-    return out
-
-
-def _load_descriptors(side: Path, frame: Frame) -> None:
-    path = side / "descriptors" / f"{frame.frame_id.replace('/', '+')}.csv"
-    if not path.is_file():
-        return
-    rows = _read_rows(path, expected_header=("idx",))
-    if len(rows) != len(frame.keypoints):
-        raise InvariantError(
-            f"{len(rows)} descriptors for {len(frame.keypoints)} keypoints"
-            f" in {frame.frame_id}",
-            path=path,
-        )
-    dim = len(rows[0]) - 2 if rows else 0
-    desc = np.zeros((len(rows), dim))
-    order = _keypoint_indices(rows, path)
-    for i, r in zip(order, rows):
-        vals = [v for k, v in r.items() if k not in ("_line", "idx")]
-        try:
-            desc[i] = [float(v) for v in vals]
-        except ValueError:
-            raise MalformedRecordError(
-                "descriptor value is not a number", path=path, record=r["_line"]
-            )
-    finite = np.isfinite(desc).all(axis=1)
-    if not finite.all():
-        r = rows[order.index(int(np.argmin(finite)))]
-        raise MalformedRecordError(
-            "descriptor value is not finite", path=path, record=r["_line"]
-        )
-    frame.descriptors = desc
-
-
-def _load_point_ids(side: Path, frame: Frame) -> None:
-    path = side / "point_ids" / f"{frame.frame_id.replace('/', '+')}.csv"
-    if not path.is_file():
-        return
-    rows = _read_rows(path, expected_header=("idx", "point_id"))
-    if len(rows) != len(frame.keypoints):
-        raise InvariantError(
-            f"{len(rows)} point ids for {len(frame.keypoints)} keypoints",
-            path=path,
-        )
-    ids = np.zeros(len(rows), dtype=int)
-    for i, r in zip(_keypoint_indices(rows, path), rows):
-        try:
-            ids[i] = int(r["point_id"])
-        except (ValueError, OverflowError):
-            raise MalformedRecordError(
-                f"point_id {r['point_id']!r} is not a 64-bit integer",
-                path=path,
-                record=r["_line"],
-            )
-    frame.point_ids = ids
+    ordered = np.empty_like(values)
+    ordered[idx] = values
+    setattr(frame, kind, ordered[:, 0] if kind == "point_ids" else ordered)
 
 
 def _load_side(side: Path, *, query_side: bool) -> list[Frame]:
@@ -362,55 +310,47 @@ def _load_side(side: Path, *, query_side: bool) -> list[Frame]:
     frames: list[Frame] = []
 
     if poses_path.is_file():
-        rows = _read_rows(poses_path, expected_header=("frame_id", "camera_id"))
-        for r in rows:
-            cam = r["camera_id"]
+        table = _read_table(poses_path, ("frame_id", "camera_id"))
+        poses = _parse_pose_fields(table)
+        for (frame_id, cam, *_), line, pose in zip(table.rows, table.lines, poses):
             if cam not in intrinsics:
                 raise InvariantError(
-                    f"camera_id {cam!r} not in intrinsics.csv",
-                    path=poses_path,
-                    record=r["_line"],
+                    f"camera_id {cam!r} not in intrinsics.csv", path=poses_path, record=line
                 )
-            frames.append(
-                Frame(
-                    frame_id=r["frame_id"],
-                    camera_id=cam,
-                    intrinsics=intrinsics[cam],
-                    pose=_parse_pose_fields(r, poses_path),
-                )
-            )
+            frames.append(Frame(frame_id, cam, intrinsics[cam], pose))
     elif not query_side and geo_path.is_file():
         frames = _frames_from_geo(geo_path, intrinsics)
     else:
         raise MissingFileError("required file missing", path=poses_path)
 
-    seen = set()
+    by_id: dict[str, Frame] = {}
     for f in frames:
-        if f.frame_id in seen:
+        if f.frame_id in by_id:
             raise InvariantError(f"duplicate frame_id {f.frame_id!r}", path=poses_path)
-        seen.add(f.frame_id)
+        by_id[f.frame_id] = f
+        for kind in _PER_KEYPOINT:
+            _load_per_keypoint(side, f, kind)
 
     gd_path = side / "global_descriptors.csv"
-    global_descs = _load_vector_table(gd_path) if gd_path.is_file() else {}
-    for f in frames:
-        _load_keypoints(side, f)
-        _load_descriptors(side, f)
-        _load_point_ids(side, f)
-        g = global_descs.get(f.frame_id)
-        if g is not None:
-            n = np.linalg.norm(g)
+    if gd_path.is_file():
+        table = _read_table(gd_path, ("frame_id",))
+        vectors = _block(table, table.header[1:])
+        for (frame_id, *_), line, g in zip(table.rows, table.lines, vectors):
+            with np.errstate(over="ignore"):  # an overflowing norm fails the check below
+                n = np.linalg.norm(g)
             if abs(n - 1.0) > 1e-3:
                 raise InvariantError(
-                    f"global descriptor of {f.frame_id} has norm {n:.4f}", path=gd_path
+                    f"global descriptor of {frame_id} has norm {n:.4f}", path=gd_path, record=line
                 )
-            f.global_descriptor = g / n
+            if frame_id in by_id:
+                by_id[frame_id].global_descriptor = g / n
     return frames
 
 
 def _frames_from_geo(path: Path, intrinsics: dict[str, CameraIntrinsics]) -> list[Frame]:
     """Build reference poses from geodetic records about the first record's origin."""
-    rows = _read_rows(path, expected_header=("frame_id",))
-    if not rows:
+    table = _read_table(path, ("frame_id",))
+    if not table.rows:
         raise InvariantError("geo.csv has no records", path=path)
     if len(intrinsics) != 1:
         raise InvariantError(
@@ -418,20 +358,15 @@ def _frames_from_geo(path: Path, intrinsics: dict[str, CameraIntrinsics]) -> lis
             path=path,
         )
     camera_id, intr = next(iter(intrinsics.items()))
-    origin = (
-        _parse_float(rows[0], "lat", path),
-        _parse_float(rows[0], "lon", path),
-        _parse_float(rows[0], "alt", path),
-    )
+    records = _block(table, ("lat", "lon", "alt", "heading_deg")).tolist()
+    origin = records[0][:3]
     frames = []
-    for r in rows:
-        enu = geodetic_to_local(
-            _parse_float(r, "lat", path),
-            _parse_float(r, "lon", path),
-            _parse_float(r, "alt", path),
-            origin,
-        )
-        heading = math.radians(_parse_float(r, "heading_deg", path))
+    for (frame_id, *_), line, (lat, lon, alt, heading_deg) in zip(table.rows, table.lines, records):
+        try:
+            enu = geodetic_to_local(lat, lon, alt, origin)
+        except ValueError as e:
+            raise MalformedRecordError(str(e), path=path, record=line)
+        heading = math.radians(heading_deg)
         # Camera +z along the compass heading, +y down: columns are the camera
         # axes expressed in ENU.
         R = np.array(
@@ -441,14 +376,7 @@ def _frames_from_geo(path: Path, intrinsics: dict[str, CameraIntrinsics]) -> lis
                 [0.0, -1.0, 0.0],
             ]
         )
-        frames.append(
-            Frame(
-                frame_id=r["frame_id"],
-                camera_id=camera_id,
-                intrinsics=intr,
-                pose=Pose.from_rt(R, enu),
-            )
-        )
+        frames.append(Frame(frame_id, camera_id, intr, pose=Pose.from_rt(R, enu)))
     return frames
 
 
@@ -456,17 +384,14 @@ def _load_rig_definitions(root: Path) -> list[tuple[str, list[tuple[str, Pose]]]
     path = root / "rig_extrinsics.csv"
     if not path.is_file():
         return []
-    rows = _read_rows(path, expected_header=("rig_id", "camera_id"))
+    table = _read_table(path, ("rig_id", "camera_id"))
     rigs: dict[str, list[tuple[str, Pose]]] = {}
-    for r in rows:
-        pose = _parse_pose_fields(r, path)
+    for (rig_id, cam, *_), line, pose in zip(table.rows, table.lines, _parse_pose_fields(table)):
         if pose is None:
             raise InvariantError(
-                f"extrinsic missing for rig {r['rig_id']!r} camera {r['camera_id']!r}",
-                path=path,
-                record=r["_line"],
+                f"extrinsic missing for rig {rig_id!r} camera {cam!r}", path=path, record=line
             )
-        rigs.setdefault(r["rig_id"], []).append((r["camera_id"], pose))
+        rigs.setdefault(rig_id, []).append((cam, pose))
     return list(rigs.items())
 
 
@@ -506,9 +431,18 @@ def _group_into_rigs(frames: list[Frame], rig_defs, poses_path) -> list[Rig]:
                     f"query frame {f.frame_id!r} is missing its odometry pose",
                     path=poses_path,
                 )
+        extr = dict(cams)
         first = members[0]
-        extr = dict(cams)[first.camera_id]
-        rig_pose = first.pose.compose(extr.inverse())
+        rig_pose = first.pose.compose(extr[first.camera_id].inverse())
+        for f in members[1:]:
+            gap = rig_pose.compose(extr[f.camera_id]).inverse().compose(f.pose)
+            dt, dr = math.hypot(*gap.translation), gap.rotation.angle
+            if not (dt <= RIG_TOL_M and dr <= RIG_TOL_RAD):
+                raise InvariantError(
+                    f"odometry pose of {f.frame_id!r} is {dt:.3g} m, {dr:.3g} rad off"
+                    f" its rig pose composed with the extrinsic of {f.camera_id!r}",
+                    path=poses_path,
+                )
         rigs.append(
             Rig(
                 rig_id=inst,
@@ -578,52 +512,52 @@ def save_dataset(
     rig_defs: list[tuple[str, list[tuple[str, Pose]]]] | None = None,
 ) -> None:
     root = Path(root)
+    pose_header = ("frame_id", "camera_id", *_POSE_COLUMNS)
     for side_name, frames in (
         ("queries", [f for r in sequence.rigs for f in r.frames.values()]),
         ("references", references),
     ):
         side = root / side_name
-        (side / "keypoints").mkdir(parents=True, exist_ok=True)
-        write_pose_csv(
-            side / "poses.csv", [(f.frame_id, f.camera_id, f.pose) for f in frames]
+        _write_table(
+            side / "poses.csv",
+            pose_header,
+            ([f.frame_id, f.camera_id, *map(_fmt, f.pose.as_array7())] for f in frames),
         )
-        cams = {}
+        cams = {f.camera_id: f.intrinsics for f in frames}
+        _write_table(
+            side / "intrinsics.csv",
+            ("camera_id", "fx", "fy", "cx", "cy", "width", "height"),
+            (
+                [cid, *map(_fmt, (k.fx, k.fy, k.cx, k.cy)), k.width, k.height]
+                for cid, k in sorted(cams.items())
+            ),
+        )
         for f in frames:
-            cams[f.camera_id] = f.intrinsics
-        with open(side / "intrinsics.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["camera_id", "fx", "fy", "cx", "cy", "width", "height"])
-            for cid, k in sorted(cams.items()):
-                w.writerow([cid] + [_fmt(v) for v in (k.fx, k.fy, k.cx, k.cy)] + [k.width, k.height])
-        for f in frames:
-            fname = f.frame_id.replace("/", "+")
-            with open(side / "keypoints" / f"{fname}.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["idx", "u", "v"])
-                for i, (u, v) in enumerate(f.keypoints):
-                    w.writerow([i, _fmt(u), _fmt(v)])
+            name = f"{f.frame_id.replace('/', '+')}.csv"
+            _write_table(
+                side / "keypoints" / name,
+                _PER_KEYPOINT["keypoints"],
+                ([i, *map(_fmt, kp)] for i, kp in enumerate(f.keypoints)),
+            )
             if f.descriptors is not None:
-                (side / "descriptors").mkdir(exist_ok=True)
-                with open(side / "descriptors" / f"{fname}.csv", "w", newline="") as fh:
-                    w = csv.writer(fh)
-                    w.writerow(["idx"] + [f"d{j}" for j in range(f.descriptors.shape[1])])
-                    for i, d in enumerate(f.descriptors):
-                        w.writerow([i] + [_fmt(v) for v in d])
+                _write_table(
+                    side / "descriptors" / name,
+                    ("idx", *(f"d{j}" for j in range(f.descriptors.shape[1]))),
+                    ([i, *map(_fmt, d)] for i, d in enumerate(f.descriptors)),
+                )
             if f.point_ids is not None:
-                (side / "point_ids").mkdir(exist_ok=True)
-                with open(side / "point_ids" / f"{fname}.csv", "w", newline="") as fh:
-                    w = csv.writer(fh)
-                    w.writerow(["idx", "point_id"])
-                    for i, pid in enumerate(f.point_ids):
-                        w.writerow([i, int(pid)])
+                _write_table(
+                    side / "point_ids" / name,
+                    _PER_KEYPOINT["point_ids"],
+                    enumerate(f.point_ids.tolist()),
+                )
         gds = [(f.frame_id, f.global_descriptor) for f in frames if f.global_descriptor is not None]
         if gds:
-            dim = len(gds[0][1])
-            with open(side / "global_descriptors.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["frame_id"] + [f"g{j}" for j in range(dim)])
-                for fid, g in gds:
-                    w.writerow([fid] + [_fmt(v) for v in g])
+            _write_table(
+                side / "global_descriptors.csv",
+                ("frame_id", *(f"g{j}" for j in range(len(gds[0][1])))),
+                ([fid, *map(_fmt, g)] for fid, g in gds),
+            )
 
     np.savetxt(
         root / "queries" / "odometry_covariance.csv",
@@ -632,12 +566,15 @@ def save_dataset(
         fmt="%.17g",
     )
     if rig_defs:
-        with open(root / "rig_extrinsics.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["rig_id", "camera_id", "qw", "qx", "qy", "qz", "tx", "ty", "tz"])
-            for rig_id, cams in rig_defs:
-                for cid, extr in cams:
-                    w.writerow([rig_id, cid] + [_fmt(v) for v in extr.as_array7()])
+        _write_table(
+            root / "rig_extrinsics.csv",
+            ("rig_id", "camera_id", *_POSE_COLUMNS),
+            (
+                [rig_id, cid, *map(_fmt, extr.as_array7())]
+                for rig_id, cams in rig_defs
+                for cid, extr in cams
+            ),
+        )
 
 
 # --- geodetic helper ----------------------------------------------------------

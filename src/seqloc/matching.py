@@ -131,18 +131,13 @@ def load_precomputed_match(a: Frame, b: Frame, dataset_root: Path | None) -> Mat
     forward = match_file_path(dataset_root, a.frame_id, b.frame_id)
     backward = match_file_path(dataset_root, b.frame_id, a.frame_id)
     if forward.is_file():
-        rows = read_match_file(forward)
+        idx_a, idx_b, scores = read_match_file(forward)
     elif backward.is_file():
-        rows = [(jb, ja, s) for ja, jb, s in read_match_file(backward)]
+        idx_b, idx_a, scores = read_match_file(backward)
     else:
         raise MissingFileError("no precomputed match file for pair", path=forward)
-    rows = np.array(rows, dtype=float).reshape(-1, 3)
     return MatchSet(
-        frame_a=a.frame_id,
-        frame_b=b.frame_id,
-        idx_a=rows[:, 0].astype(int),
-        idx_b=rows[:, 1].astype(int),
-        scores=rows[:, 2],
+        frame_a=a.frame_id, frame_b=b.frame_id, idx_a=idx_a, idx_b=idx_b, scores=scores
     )
 
 

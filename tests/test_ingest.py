@@ -24,7 +24,10 @@ from seqloc.ingest import (
     batch,
     geodetic_to_local,
     load_dataset,
+    match_file_path,
+    read_match_file,
     save_dataset,
+    write_match_file,
 )
 
 from conftest import random_pose
@@ -62,12 +65,38 @@ def make_dataset(rng, n_queries=4, n_refs=3):
     return QuerySequence(rigs=rigs), refs
 
 
+def exact_unit_vector(rng, dim=16):
+    """Four entries of +-0.5: the norm is exactly 1, so loading keeps every bit."""
+    g = np.zeros(dim)
+    g[rng.choice(dim, 4, replace=False)] = rng.choice([-0.5, 0.5], 4)
+    return g
+
+
 def save_with_point_ids(rng, root):
-    """A saved dataset whose frames carry all three per-keypoint files."""
+    """A saved dataset whose frames carry every optional per-frame file; returns it."""
     seq, refs = make_dataset(rng)
     for f in refs + [r.frames["cam0"] for r in seq.rigs]:
-        f.point_ids = 100 + np.arange(len(f.keypoints))
+        f.point_ids = rng.integers(0, 2**63 - 1, len(f.keypoints))
+        f.global_descriptor = exact_unit_vector(rng)
     save_dataset(root, seq, refs)
+    return seq, refs
+
+
+def make_rig_dataset(rng, n_rigs=3, n_refs=3):
+    """Two-camera rigs, cam1 moved and turned from cam0; returns (sequence, refs, rig_defs)."""
+    cams = [("cam0", Pose.identity()), ("cam1", random_pose(rng, t_scale=0.2))]
+    rigs = []
+    for i in range(n_rigs):
+        rig_pose = random_pose(rng)
+        frames = {}
+        for cid, extr in cams:
+            f = make_frame(rng, f"q{i:04d}/{cid}", pose=rig_pose.compose(extr))
+            f.camera_id = cid
+            f.global_descriptor = exact_unit_vector(rng)
+            frames[cid] = f
+        rigs.append(Rig(rig_id=f"q{i:04d}", cameras=cams, frames=frames, pose=rig_pose))
+    refs = [make_frame(rng, f"r{i:04d}") for i in range(n_refs)]
+    return QuerySequence(rigs=rigs), refs, [("stereo", cams)]
 
 
 def edit_cell(path, row, col, text):
@@ -105,6 +134,48 @@ class TestRoundTrip:
         save_dataset(tmp_path, seq, refs)
         loaded, _ = load_dataset(tmp_path)
         np.testing.assert_allclose(loaded[0].covariance, seq.covariance)
+
+    def test_point_ids_and_global_descriptors_bit_exact(self, rng, tmp_path):
+        seq, refs = save_with_point_ids(rng, tmp_path)
+        loaded_seqs, loaded_refs = load_dataset(tmp_path)
+        originals = refs + [r.frames["cam0"] for r in seq.rigs]
+        loaded = loaded_refs + [r.frames["cam0"] for r in loaded_seqs[0].rigs]
+        for fo, fg in zip(originals, loaded, strict=True):
+            assert fg.point_ids.dtype == np.int64
+            assert (fo.point_ids == fg.point_ids).all()
+            assert (fo.global_descriptor == fg.global_descriptor).all()
+
+    def test_match_file_bit_exact(self, tmp_path):
+        rows = [(0, 3, 1.0), (2, 5, 0.1 + 0.2), (7, 1, 5e-324)]
+        path = match_file_path(tmp_path, "q0001/cam1", "r0000")
+        write_match_file(path, rows)
+        idx_a, idx_b, scores = read_match_file(path)
+        assert path.name == "q0001+cam1__r0000.csv"
+        assert list(zip(idx_a.tolist(), idx_b.tolist(), scores.tolist())) == rows
+
+
+class TestRigs:
+    def test_two_camera_rig_round_trip(self, rng, tmp_path):
+        seq, refs, rig_defs = make_rig_dataset(rng)
+        save_dataset(tmp_path, seq, refs, rig_defs)
+        loaded = load_dataset(tmp_path)[0][0]
+        assert [r.rig_id for r in loaded.rigs] == [r.rig_id for r in seq.rigs]
+        for orig, got in zip(seq.rigs, loaded.rigs):
+            assert [c for c, _ in got.cameras] == ["cam0", "cam1"]
+            for (_, eo), (_, eg) in zip(orig.cameras, got.cameras):
+                assert (eo.as_array7() == eg.as_array7()).all()
+            for cid, fo in orig.frames.items():
+                assert (fo.pose.as_array7() == got.frames[cid].pose.as_array7()).all()
+            assert got.pose.allclose(orig.pose, atol=1e-12)
+
+    def test_second_camera_off_its_rig_pose(self, rng, tmp_path):
+        seq, refs, rig_defs = make_rig_dataset(rng)
+        save_dataset(tmp_path, seq, refs, rig_defs)
+        path = tmp_path / "queries" / "poses.csv"
+        # Rows: header, then cam0 and cam1 of each instance; move q0001/cam1 by 1 cm in x.
+        edit_cell(path, 4, 6, lambda rows: repr(float(rows[4][6]) + 0.01))
+        with pytest.raises(InvariantError, match=r"'q0001/cam1' is 0\.01 m.*poses\.csv\]"):
+            load_dataset(tmp_path)
 
 
 class TestLoadErrors:
@@ -182,6 +253,46 @@ class TestLoadErrors:
             with pytest.raises(error, match=match):
                 load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("junk", [b"\xff\xfe", b"x" * 200_000])
+    def test_unreadable_table(self, rng, tmp_path, junk):
+        # Bytes that are not UTF-8, and a field over the csv module's size limit.
+        seq, refs = make_dataset(rng)
+        save_dataset(tmp_path, seq, refs)
+        path = tmp_path / "references" / "poses.csv"
+        path.write_bytes(path.read_bytes().replace(b"r0001", junk))
+        with pytest.raises(MalformedRecordError, match=r"references/poses\.csv\]"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "table, row, col",
+        [
+            ("queries/global_descriptors.csv", 1, 1),
+            ("queries/poses.csv", 1, 6),
+            ("queries/poses.csv", 2, 6),
+            ("rig_extrinsics.csv", 2, 6),
+        ],
+    )
+    def test_huge_finite_cell(self, rng, tmp_path, table, row, col):
+        # Squares overflow: the check must fail without a numpy warning.
+        save_dataset(tmp_path, *make_rig_dataset(rng))
+        edit_cell(tmp_path / table, row, col, "1e200")
+        with pytest.raises(InvariantError):
+            load_dataset(tmp_path)
+
+    def test_non_finite_global_descriptor(self, rng, tmp_path):
+        save_with_point_ids(rng, tmp_path)
+        edit_cell(tmp_path / "queries" / "global_descriptors.csv", 2, 3, "nan")
+        with pytest.raises(MalformedRecordError, match=r"global_descriptors\.csv:3\]"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("col, cell", [(2, "nan"), (0, "1.5"), (0, "x"), (1, "")])
+    def test_malformed_match_row(self, tmp_path, col, cell):
+        path = match_file_path(tmp_path, "qa", "rb")
+        write_match_file(path, [(0, 3, 1.0), (2, 5, 0.9)])
+        edit_cell(path, 2, col, cell)
+        with pytest.raises(MalformedRecordError, match=r"matches/qa__rb\.csv:3\]"):
+            read_match_file(path)
+
     def test_errors_are_dataset_errors(self):
         with pytest.raises(DatasetError):
             load_dataset("/nonexistent/nowhere")
@@ -229,6 +340,43 @@ def test_fuzzed_per_keypoint_cell_loads_or_raises_dataset_error(kind, row, col, 
             pass
 
 
+# Files of the two-camera rig dataset that the row fuzz edits.
+FUZZED_TABLES = (
+    "queries/poses.csv",
+    "queries/intrinsics.csv",
+    "queries/global_descriptors.csv",
+    "queries/keypoints/q0001+cam1.csv",
+    "queries/descriptors/q0001+cam1.csv",
+    "references/poses.csv",
+    "rig_extrinsics.csv",
+)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    table=st.sampled_from(FUZZED_TABLES),
+    row=st.integers(0, 6),
+    col=st.one_of(st.none(), st.integers(0, 16)),  # None: the whole line
+    text=st.text(st.characters(blacklist_categories=("Cs",)), max_size=24),
+)
+def test_fuzzed_table_row_or_cell_loads_or_raises_dataset_error(table, row, col, text):
+    with tempfile.TemporaryDirectory() as d:
+        save_dataset(d, *make_rig_dataset(np.random.default_rng(0)))
+        path = Path(d) / table
+        if col is None:
+            lines = path.read_text().splitlines()
+            lines[row % len(lines)] = text
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            edit_cell(path, row % len(rows), col % len(rows[0]), text)
+        try:
+            load_dataset(d)
+        except DatasetError:
+            pass
+
+
 class TestGeoReferences:
     def test_geo_poses(self, rng, tmp_path):
         seq, refs = make_dataset(rng, n_refs=1)
@@ -246,6 +394,17 @@ class TestGeoReferences:
         np.testing.assert_allclose(R @ [0, 0, 1], [0, 1, 0], atol=1e-12)
         np.testing.assert_allclose(R @ [0, 1, 0], [0, 0, -1], atol=1e-12)
         assert abs(np.linalg.det(R) - 1.0) < 1e-12
+
+    def test_latitude_out_of_range(self, rng, tmp_path):
+        seq, refs = make_dataset(rng, n_refs=1)
+        save_dataset(tmp_path, seq, refs)
+        (tmp_path / "references" / "poses.csv").unlink()
+        with open(tmp_path / "references" / "geo.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [["frame_id", "lat", "lon", "alt", "heading_deg"], ["r0000", "91.0", "8.0", "0", "0"]]
+            )
+        with pytest.raises(MalformedRecordError, match=r"geo\.csv:2\]"):
+            load_dataset(tmp_path)
 
 
 class TestGeodetic:

@@ -251,11 +251,12 @@ def match_file_path(root: Path, frame_a: str, frame_b: str) -> Path:
 
 def _load_intrinsics(side: Path) -> dict[str, CameraIntrinsics]:
     table = _read_table(side / "intrinsics.csv", ("camera_id",))
-    values = _block(table, ("fx", "fy", "cx", "cy", "width", "height")).tolist()
+    focal = _block(table, ("fx", "fy", "cx", "cy")).tolist()
+    size = _block(table, ("width", "height"), np.int64).tolist()
     out = {}
-    for (camera_id, *_), line, (fx, fy, cx, cy, w, h) in zip(table.rows, table.lines, values):
+    for (camera_id, *_), line, f, (w, h) in zip(table.rows, table.lines, focal, size):
         try:
-            out[camera_id] = CameraIntrinsics(fx, fy, cx, cy, width=int(w), height=int(h))
+            out[camera_id] = CameraIntrinsics(*f, width=w, height=h)
         except ValueError as e:
             raise InvariantError(str(e), path=table.path, record=line)
     return out

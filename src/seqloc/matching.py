@@ -9,7 +9,6 @@ corrupted with index-rewired outliers for robustness tests).
 from __future__ import annotations
 
 import enum
-import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,39 +89,31 @@ def mutual_nn_match(a: Frame, b: Frame, ratio: float = 0.9, min_score: float = 0
     sims = a.descriptors @ b.descriptors.T
     best_b = np.argmax(sims, axis=1)
     best_a = np.argmax(sims, axis=0)
-
-    ia, ib, sc = [], [], []
-    for i in range(len(a.keypoints)):
-        j = best_b[i]
-        if best_a[j] != i:
-            continue
-        s = sims[i, j]
-        if s < min_score:
-            continue
-        if not (_ratio_ok(sims[i, :], j, ratio) and _ratio_ok(sims[:, j], i, ratio)):
-            continue
-        ia.append(i)
-        ib.append(int(j))
-        sc.append(float(np.clip(s, 0.0, 1.0)))
+    ia = np.flatnonzero(best_a[best_b] == np.arange(len(best_b)))
+    ib = best_b[ia]
+    s = sims[ia, ib]
+    keep = s >= min_score
+    ia, ib, s = ia[keep], ib[keep], s[keep]
+    # Lowe test on descriptor distances (unit vectors: d^2 = 2 - 2s) against the
+    # second best of the row and of the column, ties counted; one keypoint passes.
+    d1 = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * s))
+    seconds = []
+    if sims.shape[1] > 1:
+        seconds.append(np.partition(sims[ia], -2, axis=1)[:, -2])
+    if sims.shape[0] > 1:
+        seconds.append(np.partition(sims[:, ib], -2, axis=0)[-2])
+    keep = np.ones(len(s), dtype=bool)
+    for second in seconds:
+        d2 = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * second))
+        # a second identical descriptor is not distinctive
+        keep &= (d2 >= 1e-12) & (d1 / np.maximum(d2, 1e-12) <= ratio)
     return MatchSet(
         frame_a=a.frame_id,
         frame_b=b.frame_id,
-        idx_a=np.array(ia, dtype=int),
-        idx_b=np.array(ib, dtype=int),
-        scores=np.array(sc),
+        idx_a=ia[keep],
+        idx_b=ib[keep],
+        scores=np.clip(s[keep], 0.0, 1.0),
     )
-
-
-def _ratio_ok(sim_row: np.ndarray, best_idx: int, ratio: float) -> bool:
-    """Lowe test on descriptor distances (unit vectors: d^2 = 2 - 2s)."""
-    if len(sim_row) < 2:
-        return True
-    second = np.partition(np.delete(sim_row, best_idx), -1)[-1]
-    d1 = math.sqrt(max(0.0, 2.0 - 2.0 * sim_row[best_idx]))
-    d2 = math.sqrt(max(0.0, 2.0 - 2.0 * second))
-    if d2 < 1e-12:
-        return False  # a second identical descriptor: not distinctive
-    return d1 / d2 <= ratio
 
 
 def load_precomputed_match(a: Frame, b: Frame, dataset_root: Path | None) -> MatchSet:

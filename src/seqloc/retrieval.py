@@ -20,21 +20,6 @@ class CandidateSet:
         return [fid for fid, _ in self.candidates]
 
 
-def fuse_descriptors(parts: list[np.ndarray]) -> np.ndarray:
-    """L2-normalize each part, concatenate, renormalize to unit length."""
-    if not parts:
-        raise ValueError("nothing to fuse")
-    normed = []
-    for i, p in enumerate(parts):
-        p = np.asarray(p, dtype=float).reshape(-1)
-        n = np.linalg.norm(p)
-        if n < 1e-12:
-            raise ValueError(f"descriptor part {i} has zero length")
-        normed.append(p / n)
-    fused = np.concatenate(normed)
-    return fused / np.linalg.norm(fused)
-
-
 def top_k(
     query_id: str,
     query: np.ndarray,

@@ -3,7 +3,10 @@
 For each query frame, a forward neighbor with enough relative displacement is
 selected from the same sequence; shared keypoints are triangulated in the
 query odometry frame and joined with query-to-reference matches into 3D-2D
-correspondences.
+correspondences. Triangulation is one batched kernel over all matches of a
+frame pair: a stacked 4x4 DLT, one Gauss-Newton reprojection step on the
+point Jacobian of geometry.project_points_with_jacobian, and the accept checks
+as whole-array masks (Hartley & Zisserman, Multiple View Geometry, 12.2).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, project, rotation_half_angle
+from .geometry import CameraIntrinsics, Pose, project_points_with_jacobian, rotation_half_angle
 from .ingest import Frame
 from .matching import MatchSet
 
@@ -81,119 +84,86 @@ class Corr3D2D:
     ref_kp_idx: int
 
 
+# The kernel's checks in the order they run; reject code k > 0 is _REJECTS[k].
+_REJECTS = (None, Reject.DEGENERATE_RAYS, Reject.BEHIND_CAMERA,
+            Reject.REPROJ_TOO_LARGE, Reject.ANGLE_TOO_SMALL)
+
+
+def _reproject(cams, pix, X):
+    """(N,2,2) residuals and (N,4,3) point Jacobians J_pi R per view; in front of both."""
+    out = [project_points_with_jacobian(K, cam, X) for cam, K in cams]
+    r = np.stack([proj for proj, _, _ in out], axis=1) - pix
+    return r, np.concatenate([J[:, :, :3] for _, J, _ in out], axis=1), out[0][2] & out[1][2]
+
+
+def _triangulate(T_a, T_b, K_a, K_b, pix_a, pix_b, max_reproj_px, min_angle_deg):
+    """DLT plus one Gauss-Newton reprojection step over (N,2) pixel pairs.
+
+    Poses are T(q<-cam). Returns (N,3) points, (N,2) reprojection errors per
+    view (inf where the row is rejected before they are measured) and (N,)
+    reject codes. A row keeps its DLT point when it is behind either camera,
+    its normal matrix is singular or its step is not finite.
+    """
+    cams = [(T_a.inverse(), K_a), (T_b.inverse(), K_b)]
+    pix = np.stack([np.reshape(pix_a, (-1, 2)), np.reshape(pix_b, (-1, 2))], axis=1).astype(float)
+    # Two DLT rows per view: u P[2] - P[0] and v P[2] - P[1].
+    P = np.stack([K.K @ cam.matrix[:3] for cam, K in cams])
+    Xh = np.linalg.svd((pix[..., None] * P[:, 2, None] - P[:, :2]).reshape(-1, 4, 4))[2][:, -1]
+    baseline = np.linalg.norm(T_a.translation - T_b.translation)
+    degenerate = (np.abs(Xh[:, 3]) < 1e-12) | (baseline < 1e-9)
+    X = Xh[:, :3] / np.where(degenerate, 1.0, Xh[:, 3])[:, None]
+
+    r, J, front = _reproject(cams, pix, X)
+    H = np.einsum("nki,nkj->nij", J, J)
+    # solve raises for the whole stack on one singular H; det uses the same LU.
+    step = ~degenerate & front & (np.linalg.det(H) != 0)
+    g = np.einsum("nki,nk->ni", J, r.reshape(-1, 4))
+    delta = np.linalg.solve(H[step], -g[step, :, None])[:, :, 0]
+    finite = np.isfinite(delta).all(axis=1)
+    X[np.flatnonzero(step)[finite]] += delta[finite]
+
+    r, _, front = _reproject(cams, pix, X)
+    err = np.linalg.norm(r, axis=2)
+    d_a = X - T_a.translation
+    d_b = X - T_b.translation
+    norms = np.linalg.norm(d_a, axis=1) * np.linalg.norm(d_b, axis=1)
+    cosang = np.einsum("ni,ni->n", d_a, d_b) / np.where(norms > 0, norms, 1.0)
+    angle = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    checks = [degenerate, ~front, (err > max_reproj_px).any(axis=1), angle < min_angle_deg]
+    code = np.select(checks, range(1, len(_REJECTS)), 0)  # the first failure wins
+    return X, np.where((checks[0] | checks[1])[:, None], math.inf, err), code
+
+
 def triangulate_pair(
-    T_a: Pose,
-    T_b: Pose,
-    K_a: CameraIntrinsics,
-    K_b: CameraIntrinsics,
-    pix_a,
-    pix_b,
-    max_reproj_px: float = 3.0,
-    min_angle_deg: float = 1.0,
+    T_a: Pose, T_b: Pose, K_a: CameraIntrinsics, K_b: CameraIntrinsics, pix_a, pix_b,
+    max_reproj_px: float = 3.0, min_angle_deg: float = 1.0,
 ) -> TriangulationResult:
-    """DLT plus one Gauss-Newton reprojection step; poses are T(q<-cam).
+    """One pixel pair through the triangulation kernel; poses are T(q<-cam).
 
     Accepts only points with positive depth in both views, both reprojection
     errors within max_reproj_px and a triangulation angle of at least
     min_angle_deg.
     """
-    pix_a = np.asarray(pix_a, dtype=float)
-    pix_b = np.asarray(pix_b, dtype=float)
-    cam_a = T_a.inverse()  # T(cam<-q)
-    cam_b = T_b.inverse()
-    center_a = T_a.translation
-    center_b = T_b.translation
-    if np.linalg.norm(center_a - center_b) < 1e-9:
-        return TriangulationResult(None, reject=Reject.DEGENERATE_RAYS)
-
-    P_a = K_a.K @ cam_a.matrix[:3, :]
-    P_b = K_b.K @ cam_b.matrix[:3, :]
-    A = np.vstack(
-        [
-            pix_a[0] * P_a[2] - P_a[0],
-            pix_a[1] * P_a[2] - P_a[1],
-            pix_b[0] * P_b[2] - P_b[0],
-            pix_b[1] * P_b[2] - P_b[1],
-        ]
-    )
-    _, _, vt = np.linalg.svd(A)
-    Xh = vt[-1]
-    if abs(Xh[3]) < 1e-12:
-        return TriangulationResult(None, reject=Reject.DEGENERATE_RAYS)
-    X = Xh[:3] / Xh[3]
-
-    X = _gauss_newton_step(X, [(cam_a, K_a, pix_a), (cam_b, K_b, pix_b)])
-
-    za = cam_a.apply(X)[2]
-    zb = cam_b.apply(X)[2]
-    if za <= 1e-9 or zb <= 1e-9:
-        return TriangulationResult(None, reject=Reject.BEHIND_CAMERA)
-    ra = float(np.linalg.norm(project(K_a, cam_a, X) - pix_a))
-    rb = float(np.linalg.norm(project(K_b, cam_b, X) - pix_b))
-    if ra > max_reproj_px or rb > max_reproj_px:
-        return TriangulationResult(None, reproj_a=ra, reproj_b=rb, reject=Reject.REPROJ_TOO_LARGE)
-
-    da = X - center_a
-    db = X - center_b
-    cosang = np.dot(da, db) / (np.linalg.norm(da) * np.linalg.norm(db))
-    angle = math.degrees(math.acos(np.clip(cosang, -1.0, 1.0)))
-    if angle < min_angle_deg:
-        return TriangulationResult(None, reproj_a=ra, reproj_b=rb, reject=Reject.ANGLE_TOO_SMALL)
-    return TriangulationResult(point=X, reproj_a=ra, reproj_b=rb)
-
-
-def _gauss_newton_step(X: np.ndarray, views) -> np.ndarray:
-    """One reprojection Gauss-Newton step over the point; keeps X on failure."""
-    J = np.zeros((2 * len(views), 3))
-    r = np.zeros(2 * len(views))
-    for v, (cam, K, pix) in enumerate(views):
-        pc = cam.apply(X)
-        if pc[2] <= 1e-9:
-            return X
-        u = K.fx * pc[0] / pc[2] + K.cx
-        w = K.fy * pc[1] / pc[2] + K.cy
-        r[2 * v : 2 * v + 2] = (u - pix[0], w - pix[1])
-        J_pi = np.array(
-            [
-                [K.fx / pc[2], 0.0, -K.fx * pc[0] / pc[2] ** 2],
-                [0.0, K.fy / pc[2], -K.fy * pc[1] / pc[2] ** 2],
-            ]
-        )
-        J[2 * v : 2 * v + 2] = J_pi @ cam.rotation.matrix
-    H = J.T @ J
-    try:
-        delta = np.linalg.solve(H, -J.T @ r)
-    except np.linalg.LinAlgError:
-        return X
-    if not np.all(np.isfinite(delta)):
-        return X
-    return X + delta
+    X, err, code = _triangulate(T_a, T_b, K_a, K_b, pix_a, pix_b, max_reproj_px, min_angle_deg)
+    reject = _REJECTS[code[0]]
+    return TriangulationResult(None if reject else X[0], float(err[0, 0]), float(err[0, 1]), reject)
 
 
 def triangulate_matches(
-    ms: MatchSet,
-    T_a: Pose,
-    T_b: Pose,
-    K_a: CameraIntrinsics,
-    K_b: CameraIntrinsics,
-    kps_a: np.ndarray,
-    kps_b: np.ndarray,
-    max_reproj_px: float = 3.0,
-    min_angle_deg: float = 1.0,
+    ms: MatchSet, T_a: Pose, T_b: Pose, K_a: CameraIntrinsics, K_b: CameraIntrinsics,
+    kps_a: np.ndarray, kps_b: np.ndarray, max_reproj_px: float = 3.0, min_angle_deg: float = 1.0,
 ) -> list[LiftedPoint]:
-    """Triangulate every accepted match of a frame pair; poses are T(q<-cam)."""
-    lifted = []
-    for ia, ib in zip(ms.idx_a, ms.idx_b):
-        res = triangulate_pair(
-            T_a, T_b, K_a, K_b, kps_a[ia], kps_b[ib],
-            max_reproj_px=max_reproj_px, min_angle_deg=min_angle_deg,
-        )
-        if res.ok:
-            lifted.append(
-                LiftedPoint(kp_idx=int(ia), point=res.point,
-                            reproj_a=res.reproj_a, reproj_b=res.reproj_b)
-            )
-    return lifted
+    """Triangulate every match of a frame pair in one kernel call; poses are T(q<-cam).
+
+    Returns the accepted matches in match order.
+    """
+    X, err, code = _triangulate(
+        T_a, T_b, K_a, K_b, kps_a[ms.idx_a], kps_b[ms.idx_b], max_reproj_px, min_angle_deg
+    )
+    return [
+        LiftedPoint(int(ms.idx_a[k]), X[k], float(err[k, 0]), float(err[k, 1]))
+        for k in np.flatnonzero(code == 0)
+    ]
 
 
 def assemble_3d2d(

@@ -230,7 +230,7 @@ class TestLoadErrors:
         seq, refs = make_dataset(rng)
         save_dataset(tmp_path, seq, refs)
         path = tmp_path / "queries" / "intrinsics.csv"
-        for col, cell in ((1, "x"), (5, "inf"), (6, "1e400")):
+        for col, cell in ((1, "x"), (5, "inf"), (6, "1e400"), (5, "640.9"), (6, "1e300")):
             original = edit_cell(path, 1, col, cell)
             with pytest.raises(MalformedRecordError, match=r"intrinsics\.csv:2\]"):
                 load_dataset(tmp_path)

@@ -1,5 +1,7 @@
 """Matcher seam: mutual-NN, precomputed files, synthetic oracle with outliers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,86 @@ def random_unit_descs(rng, n, dim=16):
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
+def loop_mutual_nn(da, db, ratio=0.9, min_score=0.7):
+    """Oracle: mutual nearest neighbors and the two-way ratio test, one row at a time."""
+
+    def ratio_ok(sim_row, best_idx):
+        if len(sim_row) < 2:
+            return True
+        second = np.partition(np.delete(sim_row, best_idx), -1)[-1]
+        d1 = math.sqrt(max(0.0, 2.0 - 2.0 * sim_row[best_idx]))
+        d2 = math.sqrt(max(0.0, 2.0 - 2.0 * second))
+        if d2 < 1e-12:
+            return False
+        return d1 / d2 <= ratio
+
+    sims = da @ db.T
+    best_b = np.argmax(sims, axis=1)
+    best_a = np.argmax(sims, axis=0)
+    ia, ib, sc = [], [], []
+    for i in range(len(da)):
+        j = best_b[i]
+        if best_a[j] != i or sims[i, j] < min_score:
+            continue
+        if ratio_ok(sims[i, :], j) and ratio_ok(sims[:, j], i):
+            ia.append(i)
+            ib.append(int(j))
+            sc.append(float(np.clip(sims[i, j], 0.0, 1.0)))
+    return np.array(ia, dtype=int), np.array(ib, dtype=int), np.array(sc)
+
+
 class TestMutualNN:
+    def test_ratio_test_matches_loop_oracle(self, rng):
+        def unit(x):
+            return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+        cases = []
+        for n_a, n_b in [(40, 60), (60, 40), (1, 30), (30, 1), (1, 1), (2, 2)]:
+            da, db = random_unit_descs(rng, n_a), random_unit_descs(rng, n_b)
+            # Planted near-duplicate pairs; the first half get a rival in b
+            # (the row's ratio test), the second half a rival in a (the column's),
+            # at distances that let the test both pass and fail.
+            k = min(n_a, n_b) // 4
+            m = max(2 * k, 1)
+            db[:m] = unit(da[:m] + rng.normal(scale=0.02, size=(m, 16)))
+            sigma = rng.choice([0.015, 0.02, 0.025, 0.05], size=(k, 1))
+            db[2 * k : 3 * k] = unit(da[:k] + rng.normal(size=(k, 16)) * sigma)
+            da[2 * k : 3 * k] = unit(db[k : 2 * k] + rng.normal(size=(k, 16)) * sigma)
+            cases.append((da, db))
+        # An exact duplicate as the second best, in a row and in a column.
+        da, db = random_unit_descs(rng, 20), random_unit_descs(rng, 20)
+        db[:5] = da[:5]
+        db[5] = db[0]
+        da[6] = da[1]
+        cases.append((da, db))
+        matched = rejected = 0
+        for da, db in cases:
+            ms = mutual_nn_match(
+                frame_with(rng, "a", len(da), desc=da), frame_with(rng, "b", len(db), desc=db)
+            )
+            ia, ib, sc = loop_mutual_nn(da, db)
+            for got, want in ((ms.idx_a, ia), (ms.idx_b, ib), (ms.scores, sc)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            matched += len(ia)
+            rejected += len(loop_mutual_nn(da, db, ratio=math.inf)[0]) - len(ia)
+        assert matched > 20 and rejected > 10
+
+    def test_min_score_inclusive(self, rng):
+        da, db = np.zeros((2, 16)), np.zeros((2, 16))
+        da[0, 0] = da[1, 2] = db[1, 3] = 1.0
+        db[0, :2] = 0.7, math.sqrt(0.51)  # similarity exactly 0.7 with da[0]
+        ms = mutual_nn_match(frame_with(rng, "a", 2, desc=da), frame_with(rng, "b", 2, desc=db))
+        assert list(zip(ms.idx_a, ms.idx_b, ms.scores)) == [(0, 0, 0.7)]
+
+    def test_duplicate_second_best_rejected(self, rng):
+        da, db = random_unit_descs(rng, 10), random_unit_descs(rng, 10)
+        db[0] = da[0]
+        db[1] = da[0]  # row 0 of a has two identical best matches
+        ms = mutual_nn_match(frame_with(rng, "a", 10, desc=da), frame_with(rng, "b", 10, desc=db))
+        assert 0 not in ms.idx_a
+
+
     def test_empty_frame(self, rng):
         a = frame_with(rng, "a", 0, desc=np.zeros((0, 16)))
         b = frame_with(rng, "b", 5, desc=random_unit_descs(rng, 5))

@@ -1,39 +1,16 @@
-"""Retrieval: fusion, exhaustive top-k vs brute-force oracle, stand-in descriptor."""
+"""Retrieval: exhaustive top-k vs brute-force oracle, stand-in descriptor."""
 
 import numpy as np
 import pytest
 
 from seqloc.geometry import CameraIntrinsics
 from seqloc.ingest import Frame
-from seqloc.retrieval import fuse_descriptors, standin_global_descriptor, top_k
+from seqloc.retrieval import standin_global_descriptor, top_k
 
 
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
-
-
-class TestFuse:
-    def test_single_unit_part_unchanged(self):
-        v = unit([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(fuse_descriptors([v]), v, atol=1e-12)
-
-    def test_two_parts_norms(self):
-        fused = fuse_descriptors([np.array([1.0, 0.0]), np.array([0.0, 2.0])])
-        assert fused.shape == (4,)
-        assert abs(np.linalg.norm(fused) - 1.0) < 1e-12
-        assert abs(np.linalg.norm(fused[:2]) - 1 / np.sqrt(2)) < 1e-12
-        assert abs(np.linalg.norm(fused[2:]) - 1 / np.sqrt(2)) < 1e-12
-
-    def test_identical_composites_similarity_one(self, rng):
-        parts = [rng.normal(size=5), rng.normal(size=7)]
-        a = fuse_descriptors(parts)
-        b = fuse_descriptors(parts)
-        assert abs(np.dot(a, b) - 1.0) < 1e-12
-
-    def test_zero_part_rejected(self):
-        with pytest.raises(ValueError):
-            fuse_descriptors([np.zeros(4)])
 
 
 class TestTopK:

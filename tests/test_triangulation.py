@@ -1,8 +1,12 @@
-"""Neighbor selection traces, two-view triangulation vs forward projection, assembly."""
+"""Neighbor selection traces, two-view triangulation vs forward projection and vs the
+per-pair oracle, assembly."""
 
 import math
 
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seqloc.geometry import CameraIntrinsics, Pose, Quaternion, project
 from seqloc.ingest import Frame
@@ -11,6 +15,7 @@ from seqloc.triangulation import (
     Corr3D2D,
     LiftedPoint,
     Reject,
+    TriangulationResult,
     assemble_3d2d,
     select_neighbors,
     triangulate_matches,
@@ -26,6 +31,132 @@ DEG = math.pi / 180.0
 def pose_at(x=0.0, y=0.0, z=0.0, axis=None, angle=0.0) -> Pose:
     q = Quaternion.identity() if axis is None else Quaternion.from_axis_angle(axis, angle)
     return Pose(q, [x, y, z])
+
+
+def scalar_triangulate(T_a, T_b, K_a, K_b, pix_a, pix_b, max_reproj_px=3.0, min_angle_deg=1.0):
+    """Oracle: DLT and one Gauss-Newton step, one pixel pair at a time.
+
+    Returns the TriangulationResult and the smallest distance between a value
+    it compared and that comparison's threshold.
+    """
+    pix_a = np.asarray(pix_a, dtype=float)
+    pix_b = np.asarray(pix_b, dtype=float)
+    cam_a, cam_b = T_a.inverse(), T_b.inverse()
+    center_a, center_b = T_a.translation, T_b.translation
+    # The kernel computes the baseline from the same numbers: it needs no margin.
+    if np.linalg.norm(center_a - center_b) < 1e-9:
+        return TriangulationResult(None, reject=Reject.DEGENERATE_RAYS), math.inf
+    P_a = K_a.K @ cam_a.matrix[:3, :]
+    P_b = K_b.K @ cam_b.matrix[:3, :]
+    A = np.vstack(
+        [
+            pix_a[0] * P_a[2] - P_a[0],
+            pix_a[1] * P_a[2] - P_a[1],
+            pix_b[0] * P_b[2] - P_b[0],
+            pix_b[1] * P_b[2] - P_b[1],
+        ]
+    )
+    Xh = np.linalg.svd(A)[2][-1]
+    margins = [abs(abs(Xh[3]) - 1e-12)]
+    if abs(Xh[3]) < 1e-12:
+        return TriangulationResult(None, reject=Reject.DEGENERATE_RAYS), min(margins)
+    X = scalar_gauss_newton_step(Xh[:3] / Xh[3], [(cam_a, K_a, pix_a), (cam_b, K_b, pix_b)], margins)
+
+    za, zb = cam_a.apply(X)[2], cam_b.apply(X)[2]
+    margins += [abs(za - 1e-9), abs(zb - 1e-9)]
+    if za <= 1e-9 or zb <= 1e-9:
+        return TriangulationResult(None, reject=Reject.BEHIND_CAMERA), min(margins)
+    ra = float(np.linalg.norm(project(K_a, cam_a, X) - pix_a))
+    rb = float(np.linalg.norm(project(K_b, cam_b, X) - pix_b))
+    margins += [abs(ra - max_reproj_px), abs(rb - max_reproj_px)]
+    if ra > max_reproj_px or rb > max_reproj_px:
+        return TriangulationResult(None, ra, rb, Reject.REPROJ_TOO_LARGE), min(margins)
+    da, db = X - center_a, X - center_b
+    cosang = np.dot(da, db) / (np.linalg.norm(da) * np.linalg.norm(db))
+    angle = math.degrees(math.acos(np.clip(cosang, -1.0, 1.0)))
+    margins.append(abs(angle - min_angle_deg))
+    if angle < min_angle_deg:
+        return TriangulationResult(None, ra, rb, Reject.ANGLE_TOO_SMALL), min(margins)
+    return TriangulationResult(X, ra, rb), min(margins)
+
+
+def scalar_gauss_newton_step(X, views, margins):
+    """Oracle: the reprojection step with the point Jacobian J_pi R written out."""
+    J = np.zeros((2 * len(views), 3))
+    r = np.zeros(2 * len(views))
+    for v, (cam, K_v, pix) in enumerate(views):
+        pc = cam.apply(X)
+        margins.append(abs(pc[2] - 1e-9))
+        if pc[2] <= 1e-9:
+            return X
+        r[2 * v : 2 * v + 2] = (K_v.fx * pc[0] / pc[2] + K_v.cx - pix[0],
+                                K_v.fy * pc[1] / pc[2] + K_v.cy - pix[1])
+        J_pi = np.array(
+            [
+                [K_v.fx / pc[2], 0.0, -K_v.fx * pc[0] / pc[2] ** 2],
+                [0.0, K_v.fy / pc[2], -K_v.fy * pc[1] / pc[2] ** 2],
+            ]
+        )
+        J[2 * v : 2 * v + 2] = J_pi @ cam.rotation.matrix
+    try:
+        delta = np.linalg.solve(J.T @ J, -J.T @ r)
+    except np.linalg.LinAlgError:
+        return X
+    return X + delta if np.all(np.isfinite(delta)) else X
+
+
+def pixels(K_v, T_cam_from_world, X):
+    """Pinhole pixels of (N,3) points, also for points behind the camera."""
+    pc = T_cam_from_world.apply_many(X)
+    return pc[:, :2] / pc[:, 2:] * [K_v.fx, K_v.fy] + [K_v.cx, K_v.cy]
+
+
+def two_view_matches(rng, T_a, T_b, X, noise_px=0.0, rewire=0.0):
+    """Noisy pixels of X in both views, a share of the b pixels shuffled, as a MatchSet.
+
+    Returns (ms, kps_a, kps_b, pa, pb): match k pairs pa[k] with pb[k].
+    """
+    n = len(X)
+    pa = pixels(K, T_a.inverse(), X) + rng.normal(scale=noise_px, size=(n, 2))
+    pb = pixels(K, T_b.inverse(), X) + rng.normal(scale=noise_px, size=(n, 2))
+    moved = np.flatnonzero(rng.random(n) < rewire)
+    pb[moved] = pb[rng.permutation(moved)]
+    idx_a, idx_b = rng.permutation(n), rng.permutation(n)
+    kps_a, kps_b = np.empty((n, 2)), np.empty((n, 2))
+    kps_a[idx_a], kps_b[idx_b] = pa, pb
+    ms = MatchSet("a", "b", idx_a=idx_a, idx_b=idx_b, scores=np.ones(n))
+    return ms, kps_a, kps_b, pa, pb
+
+
+def assert_matches_oracle(T_a, T_b, ms, kps_a, kps_b, pa, pb):
+    """triangulate_matches and triangulate_pair against scalar_triangulate, row by row.
+
+    Rows where the oracle compared a value within 1e-9 of its threshold are
+    skipped. Returns the oracle's reject reasons.
+    """
+    oracle = [scalar_triangulate(T_a, T_b, K, K, a, b) for a, b in zip(pa, pb)]
+    lifted = triangulate_matches(ms, T_a, T_b, K, K, kps_a, kps_b)
+    near = {int(i) for i, (_, margin) in zip(ms.idx_a, oracle) if margin < 1e-9}
+    expected = [(int(i), res) for i, (res, _) in zip(ms.idx_a, oracle) if res.ok]
+    assert [i for i, _ in expected if i not in near] == [
+        lp.kp_idx for lp in lifted if lp.kp_idx not in near
+    ]
+    by_idx = {lp.kp_idx: lp for lp in lifted}
+    for i, res in expected:
+        if i not in near:
+            np.testing.assert_allclose(by_idx[i].point, res.point, rtol=0, atol=1e-9)
+            assert by_idx[i].reproj_a == pytest.approx(res.reproj_a, abs=1e-9)
+            assert by_idx[i].reproj_b == pytest.approx(res.reproj_b, abs=1e-9)
+    for a, b, (res, margin) in zip(pa, pb, oracle):
+        if margin < 1e-9:
+            continue
+        got = triangulate_pair(T_a, T_b, K, K, a, b)
+        assert got.reject is res.reject
+        assert got.reproj_a == pytest.approx(res.reproj_a, abs=1e-9)
+        assert got.reproj_b == pytest.approx(res.reproj_b, abs=1e-9)
+        if res.ok:
+            np.testing.assert_allclose(got.point, res.point, rtol=0, atol=1e-9)
+    return [res.reject for res, margin in oracle if margin >= 1e-9]
 
 
 class TestSelectNeighbors:
@@ -118,6 +249,73 @@ class TestTriangulatePair:
         pb = project(K, T_b.inverse(), X)
         res = triangulate_pair(T_a, T_b, K, K, pa, pb, min_angle_deg=1.0)
         assert res.reject is Reject.ANGLE_TOO_SMALL
+
+
+class TestTriangulateMatches:
+    def test_scenes_agree_with_scalar_oracle(self, rng):
+        seen = set()
+        # baseline, pixel noise, rewired share; 0 and 1e-10 m are zero baselines
+        for baseline, noise_px, rewire in [
+            (0.0, 0.5, 0.0), (1e-10, 0.5, 0.0), (1e-4, 0.5, 0.2), (0.02, 2.0, 0.3),
+            (0.3, 0.5, 0.3), (1.0, 0.0, 0.0), (1.0, 1.0, 0.4),
+        ]:
+            for _ in range(4):
+                T_a = random_pose(rng, t_scale=0.5)
+                axis = rng.normal(size=3)
+                step = Pose(Quaternion.from_axis_angle(axis, rng.uniform(0, 10 * DEG)),
+                            baseline * axis / np.linalg.norm(axis))
+                T_b = T_a.compose(step)
+                X_cam = np.column_stack(
+                    [rng.uniform(-2, 2, 40), rng.uniform(-1.5, 1.5, 40), rng.uniform(2, 12, 40)]
+                )
+                X_cam[:5, 2] *= -1  # behind camera a
+                X = T_a.apply_many(X_cam)
+                matches = two_view_matches(rng, T_a, T_b, X, noise_px, rewire)
+                seen.update(assert_matches_oracle(T_a, T_b, *matches))
+        assert seen == {None, *Reject}
+
+    def test_parallel_rays_degenerate(self):
+        # Same pixel in two views that differ by a translation: the rays meet at infinity.
+        T_a, T_b = pose_at(0.0), pose_at(0.5, 0.2)
+        pix = np.array([[320.0, 240.0], [100.0, 50.0], [600.0, 400.0]])
+        ms = MatchSet("a", "b", idx_a=np.arange(3), idx_b=np.arange(3), scores=np.ones(3))
+        assert triangulate_matches(ms, T_a, T_b, K, K, pix, pix) == []
+        for p in pix:
+            res = triangulate_pair(T_a, T_b, K, K, p, p)
+            assert res.reject is Reject.DEGENERATE_RAYS
+            assert res.reproj_a == res.reproj_b == math.inf
+
+    def test_empty_match_set(self):
+        ms = MatchSet("a", "b")
+        empty = np.zeros((0, 2))
+        assert triangulate_matches(ms, pose_at(0.0), pose_at(1.0), K, K, empty, empty) == []
+        assert triangulate_matches(ms, pose_at(0.0), pose_at(0.0), K, K, empty, empty) == []
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    rot_a=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    t_a=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    rot_ab=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
+    t_ab=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    baseline_scale=st.sampled_from([1.0, 0.03, 1e-3]),
+    points=st.lists(
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                  st.floats(0.5, 12.0) | st.floats(-12.0, -0.5)),
+        min_size=1, max_size=12,
+    ),
+    noise_px=st.sampled_from([0.0, 0.5, 4.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_kernel_matches_scalar_oracle(
+    rot_a, t_a, rot_ab, t_ab, baseline_scale, points, noise_px, seed
+):
+    T_a = Pose(Quaternion.from_rotvec(rot_a), t_a)
+    T_b = T_a.compose(Pose(Quaternion.from_rotvec(rot_ab), np.multiply(t_ab, baseline_scale)))
+    X = T_a.apply_many(np.array(points))
+    assume(np.all(np.abs(T_b.inverse().apply_many(X)[:, 2]) > 1e-3))  # a pixel in view b
+    matches = two_view_matches(np.random.default_rng(seed), T_a, T_b, X, noise_px, rewire=0.3)
+    assert_matches_oracle(T_a, T_b, *matches)
 
 
 class TestAccpetedPointsProperties:

@@ -49,8 +49,8 @@ class Quaternion:
             n = math.inf
         if n < 1e-12:
             raise ValueError("cannot normalize a near-zero quaternion")
-        if n == math.inf:
-            raise ValueError("quaternion components too large to normalize")
+        if not n < math.inf:  # NaN fails this too
+            raise ValueError("quaternion components not finite or too large to normalize")
         w, x, y, z = self.w, self.x, self.y, self.z
         # Skip division when already unit to the last bit: keeps serialization
         # round trips bit-exact.
@@ -355,8 +355,12 @@ def _se3_Q(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return Q
 
 
-def se3_left_jacobian_inv(tau) -> np.ndarray:
-    tau = np.asarray(tau, dtype=float).reshape(6)
+def se3_right_jacobian_inv(tau) -> np.ndarray:
+    """Inverse right Jacobian: d/d eps Log(Exp(tau) Exp(eps)) at eps=0 is its inverse.
+
+    Built as the inverse left Jacobian at -tau (Barfoot's closed form).
+    """
+    tau = -np.asarray(tau, dtype=float).reshape(6)
     rho, phi = tau[:3], tau[3:]
     Jinv = _so3_V_inv(phi)
     Q = _se3_Q(rho, phi)
@@ -365,11 +369,6 @@ def se3_left_jacobian_inv(tau) -> np.ndarray:
     out[3:, 3:] = Jinv
     out[:3, 3:] = -Jinv @ Q @ Jinv
     return out
-
-
-def se3_right_jacobian_inv(tau) -> np.ndarray:
-    """Inverse right Jacobian: d/d eps Log(Exp(tau) Exp(eps)) at eps=0 is its inverse."""
-    return se3_left_jacobian_inv(-np.asarray(tau, dtype=float))
 
 
 # --- Pinhole projection -------------------------------------------------------

@@ -16,7 +16,8 @@ Directory layout (all files CSV with a header row):
 
 Query poses are odometry T(q<-frame); reference poses are global T(r<-frame).
 Multi-camera rig captures name their frames "<instance>/<camera_id>"; plain ids
-are treated as single-camera rigs. Frame instance ids must sort temporally.
+are treated as single-camera rigs. Frame instance ids must sort temporally,
+with digit runs compared as numbers ("q9" before "q10").
 Every camera's odometry pose in an instance must equal the rig pose composed
 with that camera's extrinsic, to within RIG_TOL_M and RIG_TOL_RAD.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -396,6 +398,13 @@ def _load_rig_definitions(root: Path) -> list[tuple[str, list[tuple[str, Pose]]]
     return list(rigs.items())
 
 
+def _natural_key(instance_id: str) -> list:
+    """Sort key that orders "q9" before "q10": digit runs compare as integers."""
+    parts: list = re.split(r"(\d+)", instance_id)
+    parts[1::2] = map(int, parts[1::2])  # re.split puts the digit runs at odd positions
+    return parts
+
+
 def _group_into_rigs(frames: list[Frame], rig_defs, poses_path) -> list[Rig]:
     by_instance: dict[str, list[Frame]] = {}
     order: list[str] = []
@@ -403,7 +412,7 @@ def _group_into_rigs(frames: list[Frame], rig_defs, poses_path) -> list[Rig]:
         if f.instance_id not in by_instance:
             order.append(f.instance_id)
         by_instance.setdefault(f.instance_id, []).append(f)
-    if order != sorted(order):
+    if order != sorted(order, key=_natural_key):
         raise InvariantError(
             "query frame instances are not in increasing order", path=poses_path
         )

@@ -4,7 +4,9 @@ Nodes are the global poses T(r<-i) of all frames in the batch; consecutive
 frames are linked by relative odometry constraints weighted by the sequence
 covariance. Every factor carries a Huber kernel on its squared Mahalanobis
 norm, quadratic up to HUBER_THRESHOLD and linear in the norm beyond it. The
-node with the most PnP inliers is fixed to remove the gauge freedom.
+node with the most PnP inliers is fixed to remove the gauge freedom. The
+kernel and the Levenberg-Marquardt loop are seqloc.solver's; this module
+supplies the factors' linearization and the retraction of the free nodes.
 
 Two modes ship. paper_literal uses only the relative chain: with a single
 fixed node the exactly-determined optimum is dead reckoning from the anchor.
@@ -17,7 +19,6 @@ shapes the result.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -25,6 +26,7 @@ import numpy as np
 
 from .geometry import Pose, adjoint, boxminus, boxplus, se3_right_jacobian_inv
 from .pose_estimation import PoseEstimate, PoseStatus
+from .solver import huber, levenberg_marquardt
 
 # Huber transition point on the squared Mahalanobis norm: chi^2-style gate
 # scaled to 6 DoF.
@@ -32,8 +34,6 @@ HUBER_THRESHOLD = 12.59
 
 # A PnP prior's standard deviation, in odometry sigmas, at one inlier.
 PRIOR_SIGMA_SCALE = 10.0
-
-COST_FLOOR = 1e-24
 
 
 class PgoMode(str, enum.Enum):
@@ -157,14 +157,6 @@ def build_graph(
     )
 
 
-def _rho_and_weight(s: float) -> tuple[float, float]:
-    """Huber cost and IRLS weight for one factor's squared Mahalanobis norm."""
-    if s <= HUBER_THRESHOLD:
-        return s, 1.0
-    d = math.sqrt(HUBER_THRESHOLD)
-    return 2.0 * d * math.sqrt(s) - HUBER_THRESHOLD, d / math.sqrt(s)
-
-
 class _Factor(NamedTuple):
     """One factor linearized at the current nodes."""
 
@@ -172,47 +164,45 @@ class _Factor(NamedTuple):
     e: np.ndarray
     J: tuple[np.ndarray, ...]  # one 6x6 block per node
     info: np.ndarray
-    w: float  # Huber IRLS weight
 
 
-def _evaluate(graph: PoseGraph, nodes: list[Pose]) -> tuple[float, list[_Factor]]:
-    """Total robust cost and every factor at nodes: the edges, then the priors.
-
-    Raises RotationSingularity (a ValueError) when a residual is undefined.
+def _evaluate(
+    graph: PoseGraph, nodes: list[Pose]
+) -> tuple[float, tuple[list[_Factor], np.ndarray]]:
+    """Total robust cost at nodes, and every factor (the edges, then the priors)
+    with its Huber IRLS weight. Raises RotationSingularity (a ValueError) when
+    a residual is undefined.
     """
-    cost = 0.0
     factors = []
     for edge in graph.edges:
         a, b = edge.i, edge.i + 1
         e, Ja, Jb = residual_with_jacobians(edge.measurement, nodes[a], nodes[b])
-        rho, w = _rho_and_weight(float(e @ edge.information @ e))
-        cost += rho
-        factors.append(_Factor((a, b), e, (Ja, Jb), edge.information, w))
+        factors.append(_Factor((a, b), e, (Ja, Jb), edge.information))
     for prior in graph.priors:
         e = boxminus(nodes[prior.node], prior.target)
-        rho, w = _rho_and_weight(float(e @ prior.information @ e))
-        cost += rho
         factors.append(
-            _Factor((prior.node,), e, (se3_right_jacobian_inv(e),), prior.information, w)
+            _Factor((prior.node,), e, (se3_right_jacobian_inv(e),), prior.information)
         )
-    return cost, factors
+    rho, w = huber([float(f.e @ f.info @ f.e) for f in factors], HUBER_THRESHOLD)
+    # Python's sum, unlike np.sum, adds in factor order.
+    return float(sum(rho)), (factors, w)
 
 
 def _normal_equations(
-    factors: list[_Factor], slot: dict[int, int], dim: int
+    factors: list[_Factor], weights: np.ndarray, slot: dict[int, int], dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted Gauss-Newton H and g over the free nodes' state slots."""
     H = np.zeros((dim, dim))
     g = np.zeros(dim)
-    for f in factors:
+    for f, w in zip(factors, weights):
         for node, J in zip(f.nodes, f.J):
             if node in slot:
                 k = slot[node] * 6
-                H[k : k + 6, k : k + 6] += f.w * J.T @ f.info @ J
-                g[k : k + 6] += f.w * J.T @ f.info @ f.e
+                H[k : k + 6, k : k + 6] += w * J.T @ f.info @ J
+                g[k : k + 6] += w * J.T @ f.info @ f.e
         if len(f.nodes) == 2 and all(node in slot for node in f.nodes):
             ka, kb = (slot[node] * 6 for node in f.nodes)
-            blk = f.w * f.J[0].T @ f.info @ f.J[1]
+            blk = w * f.J[0].T @ f.info @ f.J[1]
             H[ka : ka + 6, kb : kb + 6] += blk
             H[kb : kb + 6, ka : ka + 6] += blk.T
     return H, g
@@ -221,78 +211,26 @@ def _normal_equations(
 def optimize(
     graph: PoseGraph, max_iters: int = 100, tol: float = 1e-9
 ) -> tuple[list[Pose], PgoReport]:
-    """Levenberg-Marquardt over the free nodes' right perturbations.
+    """seqloc.solver's robust Levenberg-Marquardt over the free nodes' right
+    perturbations, with its trial count and stopping rules.
 
     The fixed node is excluded from the state and returned bit-identical to
     its initialization. Accepted steps strictly decrease the robust cost.
     Each trial evaluates every factor once; the evaluation of an accepted
     step gives the next normal equations and, at the end, the weights.
     """
-    nodes = list(graph.nodes)
-    free = [i for i in range(len(nodes)) if i != graph.fixed]
+    free = [i for i in range(len(graph.nodes)) if i != graph.fixed]
     slot = {node: k for k, node in enumerate(free)}
-    dim = 6 * len(free)
 
-    cost, factors = _evaluate(graph, nodes)
-    initial_cost = cost
-    lam = 1e-4
-    converged = False
-    iterations = 0
+    def retract(nodes: list[Pose], delta: np.ndarray) -> list[Pose]:
+        out = list(nodes)
+        for node, k in slot.items():
+            out[node] = boxplus(nodes[node], delta[6 * k : 6 * k + 6])
+        return out
 
-    for _ in range(max_iters):
-        if not free or cost < COST_FLOOR:
-            converged = True
-            break
-        H, g = _normal_equations(factors, slot, dim)
-
-        stepped = False
-        for _ in range(12):
-            try:
-                delta = np.linalg.solve(
-                    H + lam * np.diag(np.diag(H)) + 1e-15 * np.eye(dim), -g
-                )
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                if lam > 1e15:
-                    break
-                continue
-            if not np.all(np.isfinite(delta)):
-                lam *= 10.0
-                continue
-            candidate = list(nodes)
-            for node_idx, k in slot.items():
-                candidate[node_idx] = boxplus(nodes[node_idx], delta[6 * k : 6 * k + 6])
-            try:
-                new_cost, new_factors = _evaluate(graph, candidate)
-            except ValueError:
-                lam *= 10.0
-                continue
-            if new_cost < cost:
-                rel = (cost - new_cost) / max(cost, 1e-300)
-                nodes, cost, factors = candidate, new_cost, new_factors
-                lam = max(lam * 0.1, 1e-12)
-                stepped = True
-                iterations += 1
-                if rel < tol or cost < COST_FLOOR:
-                    converged = True
-                break
-            lam *= 10.0
-            if lam > 1e15:
-                break
-        if not stepped:
-            # no descent step exists at machine precision: treat as converged
-            converged = True
-            break
-        if converged:
-            break
-
-    n_edges = len(graph.edges)
-    report = PgoReport(
-        iterations=iterations,
-        initial_cost=initial_cost,
-        final_cost=cost,
-        converged=converged,
-        edge_weights=[f.w for f in factors[:n_edges]],
-        prior_weights=[f.w for f in factors[n_edges:]],
+    nodes, (_, w), rep = levenberg_marquardt(
+        list(graph.nodes), lambda nodes: _evaluate(graph, nodes),
+        lambda _, state: _normal_equations(*state, slot, 6 * len(free)), retract, max_iters, tol,
     )
-    return nodes, report
+    n_edges = len(graph.edges)
+    return nodes, PgoReport(*rep, w[:n_edges].tolist(), w[n_edges:].tolist())

@@ -18,6 +18,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .geometry import CameraIntrinsics, Pose, boxplus, project_points, project_points_with_jacobian
+from .solver import huber, levenberg_marquardt
 
 log = logging.getLogger(__name__)
 
@@ -146,10 +147,9 @@ def _polish_minimal(T: Pose, pts, pix, K, iters: int = 10) -> Pose | None:
         if np.abs(r).max() < 1e-9 or step == iters:
             break
         try:
-            delta = np.linalg.solve(J.reshape(6, 6), -r.reshape(6))
-        except np.linalg.LinAlgError:
+            T = boxplus(T, np.linalg.solve(J.reshape(6, 6), -r.reshape(6)))
+        except ValueError:  # a singular system, or a non-finite step
             return None
-        T = boxplus(T, delta)
     return T if np.linalg.norm(r, axis=1).max() < 1e-6 else None
 
 
@@ -206,12 +206,6 @@ def reprojection_errors(
     return errs
 
 
-def _huber_cost(e: np.ndarray, delta: float) -> float:
-    quad = e <= delta
-    out = np.where(quad, e**2, 2.0 * delta * e - delta**2)
-    return float(out.sum())
-
-
 def refine_pose(
     T0: Pose,
     points: np.ndarray,
@@ -222,13 +216,15 @@ def refine_pose(
     max_iters: int = 50,
     tol: float = 1e-12,
 ) -> Pose:
-    """Levenberg-Marquardt on Huber-weighted reprojection residuals.
+    """Robust Levenberg-Marquardt (seqloc.solver) on reprojection residuals,
+    with the Huber kernel at huber_px on each residual's norm.
 
-    Each iteration builds the normal equations view by view: one batched
-    projection with Jacobians over the view's points, points behind their
-    camera left out, Huber-weighted sums by einsum. Returns the best iterate;
-    warns instead of raising when the iteration budget runs out before
-    convergence.
+    The cost comes from reprojection_errors and is infinite while a point is
+    behind its camera. The normal equations are built view by view: one
+    batched projection with Jacobians over the view's points, points behind
+    their camera left out, Huber-weighted sums by einsum. Returns the best
+    iterate; warns instead of raising when the iteration budget runs out
+    before convergence.
     """
     points = np.asarray(points, dtype=float)
     pixels = np.asarray(pixels, dtype=float)
@@ -238,18 +234,13 @@ def refine_pose(
         sel = cam_idx == k
         if sel.any():
             per_view.append((view, points[sel], pixels[sel]))
+    threshold = huber_px**2
 
-    def cost(T: Pose) -> float:
+    def evaluate(T: Pose) -> tuple[float, None]:
         e = reprojection_errors(T, points, pixels, cam_idx, views)
-        if np.isinf(e).any():
-            return math.inf
-        return _huber_cost(e, huber_px)
+        return float(huber(e**2, threshold)[0].sum()), None
 
-    T = T0
-    c = cost(T)
-    lam = 1e-4
-    converged = False
-    for _ in range(max_iters):
+    def normal_equations(T: Pose, _) -> tuple[np.ndarray, np.ndarray]:
         H = np.zeros((6, 6))
         g = np.zeros(6)
         for view, X, x in per_view:
@@ -257,34 +248,13 @@ def refine_pose(
             p, J, ok = project_points_with_jacobian(view.K, W, X)
             r = p[ok] - x[ok]
             J = J[ok]
-            e = np.linalg.norm(r, axis=1)
-            w = huber_px / np.maximum(e, huber_px)  # 1 if e <= huber_px else huber_px / e
+            w = huber((r * r).sum(axis=1), threshold)[1]
             H += np.einsum("n,nij,nik->jk", w, J, J)
             g += np.einsum("n,nij,ni->j", w, J, r)
-        stepped = False
-        for _ in range(8):
-            try:
-                delta = np.linalg.solve(H + lam * np.diag(np.diag(H)) + 1e-15 * np.eye(6), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            T_new = boxplus(T, delta)
-            c_new = cost(T_new)
-            if c_new < c:
-                rel = (c - c_new) / max(c, 1e-300)
-                T, c = T_new, c_new
-                lam = max(lam * 0.1, 1e-12)
-                stepped = True
-                if rel < tol or c == 0.0:
-                    converged = True
-                break
-            lam *= 10.0
-        if not stepped:
-            converged = True  # no descent direction left: at a (local) optimum
-            break
-        if converged:
-            break
-    if not converged:
+        return H, g
+
+    T, _, report = levenberg_marquardt(T0, evaluate, normal_equations, boxplus, max_iters, tol)
+    if not report.converged:
         log.warning("pose refinement hit the iteration budget before converging")
     return T
 

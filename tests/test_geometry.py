@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seqloc.geometry import (
     CameraIntrinsics,
@@ -23,6 +25,17 @@ from seqloc.geometry import (
 )
 
 from conftest import random_pose, random_quaternion
+
+
+def vectors(n: int, bound: float):
+    return st.lists(st.floats(-bound, bound), min_size=n, max_size=n).map(np.array)
+
+
+# Rotation angles up to 1.7 sqrt(3) < 2.95 rad, clear of the log map's singularity at pi.
+tangents = st.tuples(vectors(3, 5.0), vectors(3, 1.7)).map(np.concatenate)
+poses = st.tuples(vectors(4, 1.0), vectors(3, 5.0)).filter(
+    lambda qt: np.linalg.norm(qt[0]) > 0.1
+).map(lambda qt: Pose(Quaternion(*qt[0]), qt[1]))
 
 
 def matrix_log_tangent(T: Pose) -> np.ndarray:
@@ -142,6 +155,25 @@ class TestBoxOps:
             np.testing.assert_allclose(se3_log(se3_exp(d)), d, atol=1e-9)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(d=tangents)
+def test_exp_log_round_trip_property(d):
+    np.testing.assert_allclose(se3_log(se3_exp(d)), d, atol=1e-9)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(T=poses, d=tangents)
+def test_boxminus_undoes_boxplus_property(T, d):
+    np.testing.assert_allclose(boxminus(boxplus(T, d), T), d, atol=1e-9)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(a=poses, b=poses)
+def test_boxplus_undoes_boxminus_property(a, b):
+    assume(b.inverse().compose(a).rotation.angle < 3.0)
+    assert boxplus(b, boxminus(a, b)).allclose(a, atol=1e-9)
+
+
 class TestHalfAngle:
     def test_identity(self):
         assert rotation_half_angle(Quaternion.identity()) == 0.0
@@ -256,6 +288,11 @@ class TestQuaternion:
         for big in (1e300, np.float64(1e300), math.inf):
             with pytest.raises(ValueError, match="too large"), np.errstate(over="ignore"):
                 Quaternion(big, 1e300, 0, 0)
+
+    def test_nan_rejected(self):
+        for q in [(math.nan, 0, 0, 0), (1.0, 0, math.nan, 0), (math.nan,) * 4]:
+            with pytest.raises(ValueError, match="not finite"):
+                Quaternion(*q)
 
     def test_matrix_roundtrip(self, rng):
         for _ in range(200):

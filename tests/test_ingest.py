@@ -65,6 +65,16 @@ def make_dataset(rng, n_queries=4, n_refs=3):
     return QuerySequence(rigs=rigs), refs
 
 
+def single_camera_sequence(rng, frame_ids):
+    rigs = []
+    for frame_id in frame_ids:
+        f = make_frame(rng, frame_id)
+        rigs.append(
+            Rig(rig_id=frame_id, cameras=[("cam0", Pose.identity())], frames={"cam0": f}, pose=f.pose)
+        )
+    return QuerySequence(rigs=rigs)
+
+
 def exact_unit_vector(rng, dim=16):
     """Four entries of +-0.5: the norm is exactly 1, so loading keeps every bit."""
     g = np.zeros(dim)
@@ -128,6 +138,11 @@ class TestRoundTrip:
         for fo, fg in zip(refs, loaded_refs):
             assert (fo.pose.as_array7() == fg.pose.as_array7()).all()
 
+    def test_instance_numbers_order_as_integers(self, rng, tmp_path):
+        save_dataset(tmp_path, single_camera_sequence(rng, ["q8", "q9", "q10"]), [make_frame(rng, "r0")])
+        loaded, _ = load_dataset(tmp_path)
+        assert [r.rig_id for r in loaded[0].rigs] == ["q8", "q9", "q10"]
+
     def test_covariance_round_trip(self, rng, tmp_path):
         seq, refs = make_dataset(rng)
         seq.covariance = np.diag([0.1, 0.2, 0.3, 0.01, 0.02, 0.03])
@@ -186,6 +201,11 @@ class TestLoadErrors:
             if p.is_file():
                 p.unlink()
         with pytest.raises(InvariantError, match="no reference frames"):
+            load_dataset(tmp_path)
+
+    def test_instances_out_of_order(self, rng, tmp_path):
+        save_dataset(tmp_path, single_camera_sequence(rng, ["q10", "q9"]), [make_frame(rng, "r0")])
+        with pytest.raises(InvariantError, match=r"not in increasing order.*poses\.csv"):
             load_dataset(tmp_path)
 
     def test_missing_queries(self, rng, tmp_path):

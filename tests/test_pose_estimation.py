@@ -71,6 +71,15 @@ class TestP3P:
                 for i in range(3):
                     assert np.linalg.norm(project(K, s, X[i]) - pix[i]) < 1e-6
 
+    def test_polish_non_finite_step_returns_none(self, rng, monkeypatch):
+        T = random_camera(rng)
+        X = scene_in_front(rng, T, 3)
+        pix = project_all(T, X)
+        T0 = boxplus(T, [0.01, 0, 0, 0, 0.01, 0])
+        assert pe._polish_minimal(T0, X, pix, K) is not None
+        monkeypatch.setattr(np.linalg, "solve", lambda A, b: np.full(6, np.nan))
+        assert pe._polish_minimal(T0, X, pix, K) is None
+
 
 class TestDLT:
     def test_matches_truth(self, rng):
@@ -92,7 +101,9 @@ def scalar_refine(T0, points, pixels, cam_idx, views, huber_px=2.0, max_iters=50
 
     def cost(T):
         e = reprojection_errors(T, points, pixels, cam_idx, views)
-        return math.inf if np.isinf(e).any() else pe._huber_cost(e, huber_px)
+        if np.isinf(e).any():
+            return math.inf
+        return float(np.where(e <= huber_px, e**2, 2.0 * huber_px * e - huber_px**2).sum())
 
     T, c, lam = T0, cost(T0), 1e-4
     for _ in range(max_iters):

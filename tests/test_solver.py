@@ -1,0 +1,195 @@
+"""The shared Huber kernel against the per-problem formulas it replaced, and the
+Levenberg-Marquardt loop on tiny problems whose every trial can be watched."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from seqloc.pgo import HUBER_THRESHOLD
+from seqloc.solver import COST_FLOOR, MAX_TRIALS, huber, levenberg_marquardt
+
+
+def _huber_cost(e: np.ndarray, delta: float) -> float:
+    """refine_pose's former cost: Huber at delta on the residual norms e, summed."""
+    quad = e <= delta
+    out = np.where(quad, e**2, 2.0 * delta * e - delta**2)
+    return float(out.sum())
+
+
+def _inline_weight(r: np.ndarray, huber_px: float) -> np.ndarray:
+    """refine_pose's former IRLS weight of (N,2) pixel residuals."""
+    e = np.linalg.norm(r, axis=1)
+    return huber_px / np.maximum(e, huber_px)
+
+
+def _rho_and_weight(s: float) -> tuple[float, float]:
+    """pgo's former Huber cost and IRLS weight of one squared Mahalanobis norm."""
+    if s <= HUBER_THRESHOLD:
+        return s, 1.0
+    d = math.sqrt(HUBER_THRESHOLD)
+    return 2.0 * d * math.sqrt(s) - HUBER_THRESHOLD, d / math.sqrt(s)
+
+
+def around(x: float) -> list[float]:
+    """x and its floating-point neighbours."""
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, math.inf)]
+
+
+class TestHuber:
+    @pytest.mark.parametrize("delta", [2.0, 0.7, 3.3])
+    def test_cost_matches_refine_pose_formula(self, rng, delta):
+        e = np.concatenate([[0.0, 1e-160], around(delta), rng.uniform(0, 4 * delta, 300)])
+        rho, _ = huber(e**2, delta**2)
+        assert min(e) < delta < max(e)
+        assert rho.tolist() == [_huber_cost(np.array([x]), delta) for x in e]
+        assert float(rho.sum()) == _huber_cost(e, delta)
+
+    @pytest.mark.parametrize("delta", [2.0, 0.7, 3.3])
+    def test_weight_matches_refine_pose_formula(self, rng, delta):
+        angle = rng.uniform(0, 2 * math.pi, 300)
+        norm = rng.uniform(0, 4 * delta, 300)
+        r = np.column_stack([norm * np.cos(angle), norm * np.sin(angle)])
+        r[0] = 0.0
+        r[1:4] = np.column_stack([around(delta), np.zeros(3)])  # norms at and next to delta
+        _, w = huber((r * r).sum(axis=1), delta**2)
+        assert (w == _inline_weight(r, delta)).all()
+        assert w.min() < 1.0 == w.max()
+
+    def test_matches_pgo_formula(self, rng):
+        s = [0.0, *around(HUBER_THRESHOLD), *rng.uniform(0, 10 * HUBER_THRESHOLD, 300)]
+        rho, w = huber(s, HUBER_THRESHOLD)
+        want = [_rho_and_weight(x) for x in s]
+        assert rho.tolist() == [c for c, _ in want]
+        assert w.tolist() == [x for _, x in want]
+
+    def test_infinite_norm(self):
+        rho, w = huber([math.inf], 4.0)
+        assert rho[0] == math.inf and w[0] == 0.0
+
+
+def rosenbrock():
+    """Residuals (1 - x0, 10 (x1 - x0^2)): the cost r.r has its minimum 0 at (1, 1)."""
+    seen = []  # cost at every x the normal equations are built for
+
+    def evaluate(x):
+        r = np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)])
+        return float(r @ r), r
+
+    def normal_equations(x, r):
+        seen.append(float(r @ r))
+        J = np.array([[-1.0, 0.0], [-20.0 * x[0], 10.0]])
+        return J.T @ J, J.T @ r
+
+    return evaluate, normal_equations, seen
+
+
+class Scripted:
+    """A problem with fixed normal equations whose trials are scripted.
+
+    x is a label: retract records each step and returns a fresh label, and
+    evaluate returns (or raises) the next scripted outcome for it.
+    """
+
+    def __init__(self, H, g, initial_cost, outcomes):
+        self.H, self.g = np.array(H, dtype=float), np.array(g, dtype=float)
+        self.costs = {0: initial_cost}
+        self.outcomes = iter(outcomes)
+        self.labels = itertools.count(1)
+        self.steps = []
+        self.normal_calls = 0
+
+    def evaluate(self, x):
+        if x not in self.costs:
+            outcome = next(self.outcomes)
+            if isinstance(outcome, Exception):
+                raise outcome
+            self.costs[x] = outcome
+        return self.costs[x], None
+
+    def normal_equations(self, x, state):
+        self.normal_calls += 1
+        return self.H, self.g
+
+    def retract(self, x, delta):
+        self.steps.append(delta.copy())
+        return next(self.labels)
+
+    def run(self, max_iters=50, tol=1e-12):
+        return levenberg_marquardt(
+            0, self.evaluate, self.normal_equations, self.retract, max_iters, tol
+        )
+
+
+def step_at(lam, h, g):
+    """The 1-D damped step at damping lam."""
+    return -g / (h + lam * h + 1e-15)
+
+
+class TestLevenbergMarquardt:
+    def test_accepted_steps_strictly_lower_the_cost(self):
+        evaluate, normal_equations, seen = rosenbrock()
+        x0 = np.array([-1.2, 1.0])
+        x, r, rep = levenberg_marquardt(
+            x0, evaluate, normal_equations, lambda x, d: x + d, 100, 1e-12
+        )
+        assert rep.converged
+        assert rep.initial_cost == evaluate(x0)[0] == seen[0]
+        assert rep.final_cost == evaluate(x)[0] == float(r @ r)
+        assert rep.iterations in (len(seen) - 1, len(seen)) and len(seen) >= 5
+        assert all(b < a for a, b in zip(seen, seen[1:]))
+        np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-6)
+
+    def test_rejected_trials_grow_the_damping_tenfold(self):
+        # trial 1 raises, trial 2 does not descend, trial 3 is accepted;
+        # the next iteration starts one decade lower
+        p = Scripted([[1.0]], [-1.0], 1.0, [ValueError("undefined"), 2.0, 0.5, 0.25])
+        x, _, rep = p.run(max_iters=2)
+        lams = [1e-4, 1e-3, 1e-2, 1e-3]
+        assert [s[0] for s in p.steps] == pytest.approx(
+            [step_at(lam, 1.0, -1.0) for lam in lams], rel=1e-12
+        )
+        assert rep == (2, 1.0, 0.25, False)  # budget spent before convergence
+        assert x == 4
+
+    def test_non_finite_step_is_a_rejected_trial(self):
+        # The step overflows to inf until the damping reaches 1; retract never
+        # sees an infinite step.
+        h, g = 0.5, -1.7e308
+        p = Scripted([[h]], [g], 1.0, [0.5])
+        _, _, rep = p.run(max_iters=1)
+        assert len(p.steps) == 1
+        assert p.steps[0][0] == pytest.approx(step_at(1.0, h, g), rel=1e-12)
+        assert rep.iterations == 1
+
+    def test_nan_gradient_rejects_every_trial(self):
+        p = Scripted([[1.0]], [math.nan], 1.0, [])
+        x, _, rep = p.run()
+        assert p.steps == [] and x == 0
+        assert rep == (0, 1.0, 1.0, True)
+
+    def test_no_descent_stops_converged_after_all_trials(self):
+        p = Scripted([[1.0]], [-1.0], 1.0, [1.0] * MAX_TRIALS)
+        x, _, rep = p.run()
+        assert MAX_TRIALS == 8
+        assert len(p.steps) == MAX_TRIALS and p.normal_calls == 1
+        assert x == 0
+        assert rep == (0, 1.0, 1.0, True)
+
+    def test_solved_start_takes_no_step(self):
+        p = Scripted([[1.0]], [-1.0], COST_FLOOR / 2, [])
+        x, _, rep = p.run()
+        assert p.normal_calls == 0 and x == 0
+        assert rep == (0, COST_FLOOR / 2, COST_FLOOR / 2, True)
+
+    def test_step_below_the_floor_converges(self):
+        p = Scripted([[1.0]], [-1.0], 1.0, [COST_FLOOR / 2])
+        _, _, rep = p.run()
+        assert rep == (1, 1.0, COST_FLOOR / 2, True)
+        assert p.normal_calls == 1
+
+    def test_small_relative_decrease_converges(self):
+        p = Scripted([[1.0]], [-1.0], 1.0, [0.5, 0.5 - 1e-9])
+        _, _, rep = p.run(tol=1e-6)
+        assert rep == (2, 1.0, 0.5 - 1e-9, True)

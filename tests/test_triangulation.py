@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from seqloc.geometry import CameraIntrinsics, Pose, Quaternion, project
@@ -292,7 +292,11 @@ class TestTriangulateMatches:
         assert triangulate_matches(ms, pose_at(0.0), pose_at(0.0), K, K, empty, empty) == []
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+# No shrinking: on a failure it runs for minutes; the unshrunk example is reported at once.
+@settings(
+    max_examples=60, derandomize=True, deadline=None,
+    phases=[p for p in Phase if p is not Phase.shrink],
+)
 @given(
     rot_a=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
     t_a=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),

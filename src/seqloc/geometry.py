@@ -325,49 +325,170 @@ def boxminus(a: Pose, b: Pose) -> np.ndarray:
     return se3_log(rel)
 
 
-def adjoint(T: Pose) -> np.ndarray:
-    """6x6 Ad(T) with Exp(Ad(T) tau) = T Exp(tau) T^-1, [rho, phi] ordering."""
-    R = T.rotation.matrix
-    A = np.zeros((6, 6))
-    A[:3, :3] = R
-    A[:3, 3:] = _skew(T.translation) @ R
-    A[3:, 3:] = R
+# --- Batched SE(3) kernels -------------------------------------------------------
+#
+# The maps above over N poses at once, array in, array out: (N,4) quaternions
+# (w, x, y, z), (N,3) translations and (N,6) tangents [rho, phi]. Each follows
+# its scalar counterpart, small-angle branches included, and a quaternion
+# result is normalized and sign-canonicalized by Quaternion's own rule.
+
+_I3 = np.eye(3)
+
+
+def _skew_many(v: np.ndarray) -> np.ndarray:
+    """(N,3) -> (N,3,3) cross-product matrices."""
+    S = np.zeros((len(v), 3, 3))
+    S[:, 0, 1], S[:, 0, 2], S[:, 1, 2] = -v[:, 2], v[:, 1], -v[:, 0]
+    S[:, 1, 0], S[:, 2, 0], S[:, 2, 1] = v[:, 2], -v[:, 1], v[:, 0]
+    return S
+
+
+def _canonical(q: np.ndarray) -> np.ndarray:
+    """Quaternion's construction rule: divide by the norm unless unit to 1e-13, then w >= 0."""
+    n = np.sqrt(q[:, 0] ** 2 + q[:, 1] ** 2 + q[:, 2] ** 2 + q[:, 3] ** 2)[:, None]
+    q = np.where(np.abs(n - 1.0) > 1e-13, q / n, q)
+    return np.where(q[:, :1] < 0.0, -q, q)
+
+
+def _quat_multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    w1, x1, y1, z1 = p.T
+    w2, x2, y2, z2 = q.T
+    return _canonical(
+        np.column_stack(
+            [
+                w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+                w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+            ]
+        )
+    )
+
+
+def _quat_matrix(q: np.ndarray) -> np.ndarray:
+    """(N,4) -> (N,3,3) rotation matrices, Quaternion.matrix row by row."""
+    w, x, y, z = q.T
+    R = np.empty((len(q), 3, 3))
+    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    R[:, 0, 1] = 2 * (x * y - w * z)
+    R[:, 0, 2] = 2 * (x * z + w * y)
+    R[:, 1, 0] = 2 * (x * y + w * z)
+    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    R[:, 1, 2] = 2 * (y * z - w * x)
+    R[:, 2, 0] = 2 * (x * z - w * y)
+    R[:, 2, 1] = 2 * (y * z + w * x)
+    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    return R
+
+
+def _rotate_many(R: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("nij,nj->ni", R, v)
+
+
+def _norm_rows(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ni,ni->n", v, v))
+
+
+def _so3_V_many(phi: np.ndarray) -> np.ndarray:
+    """_so3_V over (N,3) rotation vectors."""
+    theta = _norm_rows(phi)
+    small = theta < 1e-6
+    th = np.where(small, 1.0, theta)
+    a = np.where(small, 0.5, (1.0 - np.cos(th)) / th**2)[:, None, None]
+    b = np.where(small, 1.0 / 6.0, (th - np.sin(th)) / th**3)[:, None, None]
+    S = _skew_many(phi)
+    return _I3 + a * S + b * (S @ S)
+
+
+def _so3_V_inv_many(phi: np.ndarray) -> np.ndarray:
+    """_so3_V_inv over (N,3) rotation vectors."""
+    theta = _norm_rows(phi)
+    small = theta < 1e-6
+    th = np.where(small, 1.0, theta)
+    c = np.where(small, 1.0 / 12.0, (1.0 - th / (2.0 * np.tan(0.5 * th))) / th**2)
+    S = _skew_many(phi)
+    return _I3 - 0.5 * S + c[:, None, None] * (S @ S)
+
+
+def compose_many(q1, t1, q2, t2) -> tuple[np.ndarray, np.ndarray]:
+    """Pose.compose row by row: (q1, t1) * (q2, t2)."""
+    return _quat_multiply(q1, q2), t1 + _rotate_many(_quat_matrix(q1), t2)
+
+
+def inverse_many(q, t) -> tuple[np.ndarray, np.ndarray]:
+    """Pose.inverse row by row."""
+    q_inv = q * np.array([1.0, -1.0, -1.0, -1.0])
+    return q_inv, -_rotate_many(_quat_matrix(q_inv), t)
+
+
+def se3_exp_many(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """se3_exp row by row: (N,6) tangents -> (N,4) quaternions, (N,3) translations."""
+    rho, phi = tau[:, :3], tau[:, 3:]
+    angle = _norm_rows(phi)
+    small = angle < 1e-12  # Quaternion.from_rotvec's first-order branch
+    ang = np.where(small, 1.0, angle)
+    s = np.where(small, 0.5, np.sin(0.5 * ang) / ang)
+    q = _canonical(np.column_stack([np.where(small, 1.0, np.cos(0.5 * ang)), s[:, None] * phi]))
+    return q, _rotate_many(_so3_V_many(phi), rho)
+
+
+def se3_log_many(q, t) -> np.ndarray:
+    """se3_log row by row -> (N,6) tangents.
+
+    Raises RotationSingularity, as boxminus does, when any rotation angle is
+    above pi - 1e-6.
+    """
+    xyz = q[:, 1:]
+    s = _norm_rows(xyz)
+    w = np.abs(q[:, 0])
+    angle = 2.0 * np.arctan2(s, w)
+    if (angle > math.pi - 1e-6).any():
+        raise RotationSingularity(f"relative rotation {angle.max():.6f} rad too close to pi")
+    small = s < 1e-9
+    ss = np.where(small, 1.0, s)
+    # theta/s -> 2/w for small s; second-order term keeps 1e-12 accuracy.
+    k = np.where(small, 2.0 / w * (1.0 - (s * s) / (3.0 * w * w)), 2.0 * np.arctan2(ss, w) / ss)
+    phi = k[:, None] * xyz
+    return np.hstack([_rotate_many(_so3_V_inv_many(phi), t), phi])
+
+
+def adjoint_many(q, t) -> np.ndarray:
+    """(N,6,6) Ad(T) with Exp(Ad(T) tau) = T Exp(tau) T^-1, [rho, phi] ordering."""
+    R = _quat_matrix(q)
+    A = np.zeros((len(q), 6, 6))
+    A[:, :3, :3] = R
+    A[:, :3, 3:] = _skew_many(t) @ R
+    A[:, 3:, 3:] = R
     return A
 
 
-def _se3_Q(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Q block of the SE(3) left Jacobian (Barfoot's closed form)."""
-    theta = float(np.linalg.norm(phi))
-    rx = _skew(rho)
-    px = _skew(phi)
-    if theta < 1e-4:
-        c1 = 1.0 / 6.0 - theta**2 / 120.0
-        c2 = 1.0 / 24.0 - theta**2 / 720.0
-        c3 = -1.0 / 120.0 + theta**2 / 5040.0
-    else:
-        c1 = (theta - math.sin(theta)) / theta**3
-        c2 = (1.0 - 0.5 * theta**2 - math.cos(theta)) / theta**4
-        c3 = (theta - math.sin(theta) - theta**3 / 6.0) / theta**5
-    Q = 0.5 * rx
-    Q += c1 * (px @ rx + rx @ px + px @ rx @ px)
-    Q -= c2 * (px @ px @ rx + rx @ px @ px - 3.0 * px @ rx @ px)
-    Q -= 0.5 * (c2 - 3.0 * c3) * (px @ rx @ px @ px + px @ px @ rx @ px)
-    return Q
+def se3_right_jacobian_inv_many(tau: np.ndarray) -> np.ndarray:
+    """(N,6) -> (N,6,6) inverse right Jacobians: d/d eps Log(Exp(tau) Exp(eps))
+    at eps=0 is the inverse of each.
 
-
-def se3_right_jacobian_inv(tau) -> np.ndarray:
-    """Inverse right Jacobian: d/d eps Log(Exp(tau) Exp(eps)) at eps=0 is its inverse.
-
-    Built as the inverse left Jacobian at -tau (Barfoot's closed form).
+    Built as the inverse left Jacobian at -tau (Barfoot's closed form), whose
+    Q block uses a series below theta = 1e-4.
     """
-    tau = -np.asarray(tau, dtype=float).reshape(6)
-    rho, phi = tau[:3], tau[3:]
-    Jinv = _so3_V_inv(phi)
-    Q = _se3_Q(rho, phi)
-    out = np.zeros((6, 6))
-    out[:3, :3] = Jinv
-    out[3:, 3:] = Jinv
-    out[:3, 3:] = -Jinv @ Q @ Jinv
+    rho, phi = -tau[:, :3], -tau[:, 3:]
+    theta = _norm_rows(phi)
+    small = theta < 1e-4
+    th = np.where(small, 1.0, theta)
+    t2 = theta**2
+    c1 = np.where(small, 1.0 / 6.0 - t2 / 120.0, (th - np.sin(th)) / th**3)
+    c2 = np.where(small, 1.0 / 24.0 - t2 / 720.0, (1.0 - 0.5 * th**2 - np.cos(th)) / th**4)
+    c3 = np.where(small, -1.0 / 120.0 + t2 / 5040.0, (th - np.sin(th) - th**3 / 6.0) / th**5)
+    rx, px = _skew_many(rho), _skew_many(phi)
+    pr, rp = px @ rx, rx @ px
+    prp = pr @ px
+    Q = 0.5 * rx
+    Q += c1[:, None, None] * (pr + rp + prp)
+    Q -= c2[:, None, None] * (px @ pr + rp @ px - 3.0 * prp)
+    Q -= (0.5 * (c2 - 3.0 * c3))[:, None, None] * (prp @ px + px @ prp)
+    Jinv = _so3_V_inv_many(phi)
+    out = np.zeros((len(tau), 6, 6))
+    out[:, :3, :3] = Jinv
+    out[:, 3:, 3:] = Jinv
+    out[:, :3, 3:] = -Jinv @ Q @ Jinv
     return out
 
 

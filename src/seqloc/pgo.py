@@ -5,8 +5,9 @@ frames are linked by relative odometry constraints weighted by the sequence
 covariance. Every factor carries a Huber kernel on its squared Mahalanobis
 norm, quadratic up to HUBER_THRESHOLD and linear in the norm beyond it. The
 node with the most PnP inliers is fixed to remove the gauge freedom. The
-kernel and the Levenberg-Marquardt loop are seqloc.solver's; this module
-supplies the factors' linearization and the retraction of the free nodes.
+kernel, the Levenberg-Marquardt loop and its linear solve are
+seqloc.solver's; this module supplies the factors' linearization and the
+retraction of the free nodes.
 
 Two modes ship. paper_literal uses only the relative chain: with a single
 fixed node the exactly-determined optimum is dead reckoning from the anchor.
@@ -14,6 +15,25 @@ prior_augmented (default) additionally anchors every localized node to its
 PnP estimate with an inlier-weighted prior of covariance
 PRIOR_SIGMA_SCALE^2 * Sigma / inlier_count, so all localization evidence
 shapes the result.
+
+Array layout. optimize turns the graph into arrays once and Pose objects
+appear only at its boundary; the fixed node comes back as the very object it
+was given. The n nodes are (n+1,4) quaternions and (n+1,3) translations
+whose last row is the identity. The M factors, the odometry edges first,
+then the priors, are node indices a and b, their measurements inverted as
+(M,4) and (M,3) arrays, and (M,6,6) information matrices. Factor k's
+residual is e_k = Log(z_k^-1 T_b^-1 T_a), with a = i, b = i + 1 for edge i
+and b = n, the identity, for a prior, whose residual is thus
+Log(target^-1 T_node). One pass of seqloc.geometry's batched kernels gives
+the (M,6) residuals and their (M,6,6) Jacobian blocks.
+
+O(N) solve. Node i meets only nodes i - 1 and i + 1, through its odometry
+edges; a prior touches its node alone. The normal equations over the free
+nodes are therefore block tridiagonal: (n-1,6,6) diagonal blocks and
+(n-2,6,6) coupling blocks, with a zero block between the two free
+neighbours of the fixed node. seqloc.solver solves the damped system by
+block elimination, n - 1 solves of 6x6 blocks, instead of one dense
+(6n-6)^2 solve.
 """
 
 from __future__ import annotations
@@ -24,7 +44,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Pose, adjoint, boxminus, boxplus, se3_right_jacobian_inv
+from .geometry import (
+    Pose,
+    Quaternion,
+    adjoint_many,
+    compose_many,
+    inverse_many,
+    se3_exp_many,
+    se3_log_many,
+    se3_right_jacobian_inv_many,
+)
 from .pose_estimation import PoseEstimate, PoseStatus
 from .solver import huber, levenberg_marquardt
 
@@ -78,21 +107,6 @@ class PgoReport:
     converged: bool
     edge_weights: list[float] = field(default_factory=list)
     prior_weights: list[float] = field(default_factory=list)
-
-
-def residual(measurement: Pose, T_a: Pose, T_b: Pose) -> np.ndarray:
-    """e = (T_b^-1 T_a) boxminus measurement, for the edge between a=i, b=i+1."""
-    return boxminus(T_b.inverse().compose(T_a), measurement)
-
-
-def residual_with_jacobians(measurement: Pose, T_a: Pose, T_b: Pose):
-    """Residual plus its 6x6 Jacobians w.r.t. right perturbations of both nodes."""
-    X = T_b.inverse().compose(T_a)
-    e = boxminus(X, measurement)
-    Jinv = se3_right_jacobian_inv(e)
-    J_a = Jinv
-    J_b = -Jinv @ adjoint(X.inverse())
-    return e, J_a, J_b
 
 
 def build_graph(
@@ -157,55 +171,78 @@ def build_graph(
     )
 
 
-class _Factor(NamedTuple):
-    """One factor linearized at the current nodes."""
-
-    nodes: tuple[int, ...]  # (i, i + 1) for an odometry edge, (node,) for a prior
-    e: np.ndarray
-    J: tuple[np.ndarray, ...]  # one 6x6 block per node
-    info: np.ndarray
+def _pose_arrays(poses: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
+    """(N,4) quaternions and (N,3) translations of poses."""
+    a = np.array([p.as_array7() for p in poses]).reshape(-1, 7)
+    return a[:, :4], a[:, 4:]
 
 
-def _evaluate(
-    graph: PoseGraph, nodes: list[Pose]
-) -> tuple[float, tuple[list[_Factor], np.ndarray]]:
-    """Total robust cost at nodes, and every factor (the edges, then the priors)
-    with its Huber IRLS weight. Raises RotationSingularity (a ValueError) when
-    a residual is undefined.
+def _node_arrays(nodes: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes' arrays plus the identity row that priors use as their node b."""
+    return _pose_arrays([*nodes, Pose.identity()])
+
+
+class _Factors(NamedTuple):
+    """Every factor of a graph as arrays: the odometry edges, then the priors."""
+
+    a: np.ndarray  # (M,) node indices
+    b: np.ndarray  # (M,) i + 1 for edge i; n, the identity row, for a prior
+    z_inv: tuple[np.ndarray, np.ndarray]  # measurements (targets for priors), inverted
+    info: np.ndarray  # (M,6,6)
+    n_edges: int
+
+
+def _factors(graph: PoseGraph) -> _Factors:
+    n = len(graph.nodes)
+    edges, priors = graph.edges, graph.priors
+    a = np.array([e.i for e in edges] + [p.node for p in priors], dtype=int)
+    b = np.array([e.i + 1 for e in edges] + [n] * len(priors), dtype=int)
+    z = _pose_arrays([e.measurement for e in edges] + [p.target for p in priors])
+    info = np.array([f.information for f in [*edges, *priors]]).reshape(-1, 6, 6)
+    return _Factors(a, b, inverse_many(*z), info, len(edges))
+
+
+class _Linearization(NamedTuple):
+    e: np.ndarray  # (M,6) residuals
+    J_a: np.ndarray  # (M,6,6) w.r.t. a right perturbation of node a
+    J_b: np.ndarray  # (n_edges,6,6) w.r.t. node b, odometry edges only
+    w: np.ndarray  # (M,) Huber IRLS weights
+
+
+def _evaluate(f: _Factors, q: np.ndarray, t: np.ndarray) -> tuple[float, _Linearization]:
+    """Total robust cost at the node arrays, and every factor linearized there.
+    Raises RotationSingularity (a ValueError) when a residual is undefined.
     """
-    factors = []
-    for edge in graph.edges:
-        a, b = edge.i, edge.i + 1
-        e, Ja, Jb = residual_with_jacobians(edge.measurement, nodes[a], nodes[b])
-        factors.append(_Factor((a, b), e, (Ja, Jb), edge.information))
-    for prior in graph.priors:
-        e = boxminus(nodes[prior.node], prior.target)
-        factors.append(
-            _Factor((prior.node,), e, (se3_right_jacobian_inv(e),), prior.information)
-        )
-    rho, w = huber([float(f.e @ f.info @ f.e) for f in factors], HUBER_THRESHOLD)
-    # Python's sum, unlike np.sum, adds in factor order.
-    return float(sum(rho)), (factors, w)
+    X = compose_many(*inverse_many(q[f.b], t[f.b]), q[f.a], t[f.a])  # T_b^-1 T_a
+    e = se3_log_many(*compose_many(*f.z_inv, *X))
+    J_a = se3_right_jacobian_inv_many(e)
+    # A prior's node b is the identity row, which never moves: J_b for the edges only.
+    X_inv = inverse_many(X[0][: f.n_edges], X[1][: f.n_edges])
+    J_b = -J_a[: f.n_edges] @ adjoint_many(*X_inv)
+    rho, w = huber(np.einsum("mi,mij,mj->m", e, f.info, e), HUBER_THRESHOLD)
+    return float(rho.sum()), _Linearization(e, J_a, J_b, w)
 
 
 def _normal_equations(
-    factors: list[_Factor], weights: np.ndarray, slot: dict[int, int], dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted Gauss-Newton H and g over the free nodes' state slots."""
-    H = np.zeros((dim, dim))
-    g = np.zeros(dim)
-    for f, w in zip(factors, weights):
-        for node, J in zip(f.nodes, f.J):
-            if node in slot:
-                k = slot[node] * 6
-                H[k : k + 6, k : k + 6] += w * J.T @ f.info @ J
-                g[k : k + 6] += w * J.T @ f.info @ f.e
-        if len(f.nodes) == 2 and all(node in slot for node in f.nodes):
-            ka, kb = (slot[node] * 6 for node in f.nodes)
-            blk = w * f.J[0].T @ f.info @ f.J[1]
-            H[ka : ka + 6, kb : kb + 6] += blk
-            H[kb : kb + 6, ka : ka + 6] += blk.T
-    return H, g
+    f: _Factors, lin: _Linearization, free: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted Gauss-Newton system over the free nodes, in the blocks of
+    seqloc.solver.solve_block_tridiagonal: diagonal, coupling and gradient."""
+    n, m = len(free) + 1, f.n_edges
+    wJa_info = lin.J_a.transpose(0, 2, 1) @ (lin.w[:, None, None] * f.info)  # w J_a^T info
+    wJb_info = lin.J_b.transpose(0, 2, 1) @ (lin.w[:m, None, None] * f.info[:m])
+    D = np.zeros((n, 6, 6))
+    g = np.zeros((n, 6))
+    C = np.zeros((n - 1, 6, 6))
+    np.add.at(D, f.a, wJa_info @ lin.J_a)
+    np.add.at(D, f.b[:m], wJb_info @ lin.J_b)
+    np.add.at(g, f.a, np.einsum("mij,mj->mi", wJa_info, lin.e))
+    np.add.at(g, f.b[:m], np.einsum("mij,mj->mi", wJb_info, lin.e[:m]))
+    np.add.at(C, f.a[:m], wJa_info[:m] @ lin.J_b)  # edge i couples i and i + 1
+    # Free neighbours in the chain keep their coupling; the two either side of
+    # the fixed node have none.
+    C = np.where((np.diff(free) == 1)[:, None, None], C[free[:-1]], 0.0)
+    return D[free], C, g[free]
 
 
 def optimize(
@@ -214,23 +251,25 @@ def optimize(
     """seqloc.solver's robust Levenberg-Marquardt over the free nodes' right
     perturbations, with its trial count and stopping rules.
 
-    The fixed node is excluded from the state and returned bit-identical to
-    its initialization. Accepted steps strictly decrease the robust cost.
-    Each trial evaluates every factor once; the evaluation of an accepted
-    step gives the next normal equations and, at the end, the weights.
+    The fixed node is excluded from the state and returned as the very Pose
+    of the graph. Accepted steps strictly decrease the robust cost. Each
+    trial evaluates every factor once; the evaluation of an accepted step
+    gives the next normal equations and, at the end, the weights.
     """
-    free = [i for i in range(len(graph.nodes)) if i != graph.fixed]
-    slot = {node: k for k, node in enumerate(free)}
+    n = len(graph.nodes)
+    factors = _factors(graph)
+    free = np.delete(np.arange(n), graph.fixed)
 
-    def retract(nodes: list[Pose], delta: np.ndarray) -> list[Pose]:
-        out = list(nodes)
-        for node, k in slot.items():
-            out[node] = boxplus(nodes[node], delta[6 * k : 6 * k + 6])
-        return out
+    def retract(x, delta: np.ndarray):
+        q, t = x[0].copy(), x[1].copy()
+        q[free], t[free] = compose_many(q[free], t[free], *se3_exp_many(delta))
+        return q, t
 
-    nodes, (_, w), rep = levenberg_marquardt(
-        list(graph.nodes), lambda nodes: _evaluate(graph, nodes),
-        lambda _, state: _normal_equations(*state, slot, 6 * len(free)), retract, max_iters, tol,
+    (q, t), lin, rep = levenberg_marquardt(
+        _node_arrays(graph.nodes), lambda x: _evaluate(factors, *x),
+        lambda _, lin: _normal_equations(factors, lin, free), retract, max_iters, tol,
     )
-    n_edges = len(graph.edges)
-    return nodes, PgoReport(*rep, w[:n_edges].tolist(), w[n_edges:].tolist())
+    nodes = [Pose(Quaternion(*qi), ti) for qi, ti in zip(q[:n].tolist(), t[:n])]
+    nodes[graph.fixed] = graph.nodes[graph.fixed]
+    m = factors.n_edges
+    return nodes, PgoReport(*rep, lin.w[:m].tolist(), lin.w[m:].tolist())

@@ -240,7 +240,7 @@ def refine_pose(
         e = reprojection_errors(T, points, pixels, cam_idx, views)
         return float(huber(e**2, threshold)[0].sum()), None
 
-    def normal_equations(T: Pose, _) -> tuple[np.ndarray, np.ndarray]:
+    def normal_equations(T: Pose, _) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         H = np.zeros((6, 6))
         g = np.zeros(6)
         for view, X, x in per_view:
@@ -251,7 +251,7 @@ def refine_pose(
             w = huber((r * r).sum(axis=1), threshold)[1]
             H += np.einsum("n,nij,nik->jk", w, J, J)
             g += np.einsum("n,nij,ni->j", w, J, r)
-        return H, g
+        return H[None], np.empty((0, 6, 6)), g[None]  # one block
 
     T, _, report = levenberg_marquardt(T0, evaluate, normal_equations, boxplus, max_iters, tol)
     if not report.converged:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from seqloc.geometry import (
@@ -13,17 +13,24 @@ from seqloc.geometry import (
     Pose,
     Quaternion,
     RotationSingularity,
+    adjoint_many,
     boxminus,
     boxplus,
+    compose_many,
+    inverse_many,
     project,
     project_points,
     project_points_with_jacobian,
     project_with_jacobian,
     rotation_half_angle,
     se3_exp,
+    se3_exp_many,
     se3_log,
+    se3_log_many,
+    se3_right_jacobian_inv_many,
 )
 
+import se3_oracle
 from conftest import random_pose, random_quaternion
 
 
@@ -172,6 +179,101 @@ def test_boxminus_undoes_boxplus_property(T, d):
 def test_boxplus_undoes_boxminus_property(a, b):
     assume(b.inverse().compose(a).rotation.angle < 3.0)
     assert boxplus(b, boxminus(a, b)).allclose(a, atol=1e-9)
+
+
+# --- batched kernels against the scalar maps -------------------------------------
+
+# Rotation angles (times a factor in [0.5, 1]) in every branch of the kernels:
+# the first-order quaternion below 1e-12, the series below 1e-9, 1e-6 and 1e-4,
+# and the closed forms up to 2.65e-6 rad short of pi.
+BRANCH_ANGLES = [0.0, 1e-13, 1e-12, 1e-9, 2e-9, 5e-7, 1e-6, 3e-5, 1e-4, 2e-4, 0.01, 0.5, 2.0, 3.1, 3.14159]
+unit_axes = vectors(3, 1.0).filter(lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
+branch_rotvecs = st.tuples(unit_axes, st.sampled_from(BRANCH_ANGLES), st.floats(0.5, 1.0)).map(
+    lambda a: a[0] * a[1] * a[2]
+)
+branch_tangents = st.tuples(vectors(3, 5.0), branch_rotvecs).map(np.concatenate)
+tangent_batches = st.lists(branch_tangents, min_size=1, max_size=6).map(np.array)
+
+# No shrinking: on a failure it runs for minutes; the unshrunk example is reported at once.
+kernel_property = settings(
+    max_examples=150, derandomize=True, deadline=None,
+    phases=[p for p in Phase if p is not Phase.shrink],
+)
+
+
+def assert_close(got, want, tol=1e-12):
+    """Agreement to tol, relative to the larger of 1 and the reference's magnitude."""
+    want = np.asarray(want)
+    assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
+
+
+def assert_quaternion_close(got, want: Quaternion):
+    assert got[0] >= 0.0  # canonical, as Quaternion is
+    if want.w < 1e-9:  # q and -q both canonical to rounding
+        got = min(got, -got, key=lambda q: np.abs(q - want.wxyz).max())
+    assert_close(got, want.wxyz)
+
+
+def pose_arrays(poses) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([T.rotation.wxyz for T in poses]), np.array([T.translation for T in poses])
+
+
+@kernel_property
+@given(taus=tangent_batches)
+def test_exp_and_log_kernels_match_scalar(taus):
+    q, t = se3_exp_many(taus)
+    poses = [se3_exp(tau) for tau in taus]
+    for k, T in enumerate(poses):
+        assert_quaternion_close(q[k], T.rotation)
+        assert_close(t[k], T.translation)
+    logs = se3_log_many(*pose_arrays(poses))
+    for k, T in enumerate(poses):
+        assert_close(logs[k], se3_log(T))
+
+
+@kernel_property
+@given(pairs=st.lists(st.tuples(branch_tangents, branch_tangents), min_size=1, max_size=6))
+def test_compose_and_inverse_kernels_match_scalar(pairs):
+    a = [se3_exp(x) for x, _ in pairs]
+    b = [se3_exp(y) for _, y in pairs]
+    q, t = compose_many(*pose_arrays(a), *pose_arrays(b))
+    qi, ti = inverse_many(*pose_arrays(a))
+    for k in range(len(pairs)):
+        want = a[k].compose(b[k])
+        assert_quaternion_close(q[k], want.rotation)
+        assert_close(t[k], want.translation)
+        inv = a[k].inverse()
+        assert_quaternion_close(qi[k], inv.rotation)
+        assert_close(ti[k], inv.translation)
+
+
+@kernel_property
+@given(taus=tangent_batches)
+def test_jacobian_kernels_match_scalar(taus):
+    J = se3_right_jacobian_inv_many(taus)
+    poses = [se3_exp(tau) for tau in taus]
+    A = adjoint_many(*pose_arrays(poses))
+    for k, T in enumerate(poses):
+        assert_close(J[k], se3_oracle.se3_right_jacobian_inv(taus[k]))
+        assert_close(A[k], se3_oracle.adjoint(T))
+
+
+@kernel_property
+@given(
+    taus=tangent_batches,
+    axis=unit_axes,
+    short_of_pi=st.floats(1e-8, 9.9e-7),
+    t=vectors(3, 5.0),
+    at=st.integers(0, 6),
+)
+def test_log_kernel_raises_next_to_pi(taus, axis, short_of_pi, t, at):
+    poses = [se3_exp(tau) for tau in taus]
+    near_pi = Pose(Quaternion.from_rotvec(axis * (math.pi - short_of_pi)), t)
+    poses.insert(at % (len(poses) + 1), near_pi)
+    with pytest.raises(RotationSingularity):
+        boxminus(near_pi, Pose.identity())
+    with pytest.raises(RotationSingularity):
+        se3_log_many(*pose_arrays(poses))
 
 
 class TestHalfAngle:

@@ -5,19 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import se3_oracle
+from seqloc import pgo
 from seqloc.geometry import Pose, Quaternion, boxminus, boxplus, se3_exp
-from seqloc.pgo import (
-    HUBER_THRESHOLD,
-    GraphBuildError,
-    PgoMode,
-    build_graph,
-    optimize,
-    residual,
-    residual_with_jacobians,
-)
+from seqloc.pgo import HUBER_THRESHOLD, GraphBuildError, PgoMode, build_graph, optimize
 from seqloc.pose_estimation import PoseEstimate, PoseStatus
+from seqloc.solver import solve_block_tridiagonal
 
-from conftest import random_pose
+from conftest import block_tridiagonal_dense, random_pose
+from se3_oracle import residual, residual_with_jacobians
 
 COV = np.diag([0.005**2] * 3 + [math.radians(0.05) ** 2] * 3)
 
@@ -260,6 +256,102 @@ class TestOptimize:
             ]
             weights = [w for _, w in edges + priors]
             assert min(weights) < 1.0 == max(weights)  # both Huber branches
-            assert rep.edge_weights == [w for _, w in edges]
-            assert rep.prior_weights == [w for _, w in priors]
-            assert rep.final_cost == sum(rho for rho, _ in edges + priors)
+            # the report is the batched evaluation at the returned nodes...
+            cost, lin = pgo._evaluate(pgo._factors(g), *pgo._node_arrays(nodes))
+            assert rep.edge_weights == lin.w[: len(g.edges)].tolist()
+            assert rep.prior_weights == lin.w[len(g.edges) :].tolist()
+            assert rep.final_cost == cost
+            # ...which is the scalar Huber of the scalar residuals to rounding
+            np.testing.assert_allclose(weights, lin.w, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                rep.final_cost, sum(rho for rho, _ in edges + priors), rtol=1e-12, atol=0
+            )
+
+
+def noisy_chain_graph(rng, n, mode, outliers=()):
+    """Graph over an odometry chain with sigma-level noise, estimates near the
+    truth but for the outliers, 1 m off; factors on both sides of HUBER_THRESHOLD."""
+    odom_true, truth = make_chain(rng, n=n)
+    odom = [odom_true[0]]
+    for i in range(n - 1):
+        rel = odom_true[i].inverse().compose(odom_true[i + 1])
+        noise = np.concatenate([rng.normal(scale=0.005, size=3), rng.normal(scale=math.radians(0.05), size=3)])
+        odom.append(odom[-1].compose(rel).compose(se3_exp(noise)))
+    ests = []
+    for i in range(n):
+        d = np.concatenate([rng.normal(scale=0.002, size=3), rng.normal(scale=math.radians(0.02), size=3)])
+        if i in outliers:
+            d[:3] += [1.0, -0.5, 0.2]
+        ests.append(estimate(i, boxplus(truth[i], d), inliers=int(rng.integers(10, 60))))
+    return build_graph(ests, odom, COV, mode=mode)
+
+
+def perturbed_nodes(rng, g):
+    return [boxplus(T, rng.normal(scale=[0.002] * 3 + [math.radians(0.02)] * 3)) for T in g.nodes]
+
+
+def damped(D, lam):
+    """The LM loop's damping of each diagonal block."""
+    dims = np.arange(D.shape[-1])
+    diag = np.zeros_like(D)
+    diag[:, dims, dims] = D[:, dims, dims]
+    return D + lam * diag + 1e-15 * np.eye(D.shape[-1])
+
+
+class TestBatchedAgainstScalarOracle:
+    """The array evaluation, block normal equations and solve against the
+    per-factor Pose code and dense solve they replaced (tests/se3_oracle.py)."""
+
+    def test_evaluate_matches_oracle(self, rng):
+        for mode in PgoMode:
+            g = noisy_chain_graph(rng, 12, mode, outliers=(3,))
+            nodes = perturbed_nodes(rng, g)
+            cost, lin = pgo._evaluate(pgo._factors(g), *pgo._node_arrays(nodes))
+            want_cost, (factors, w) = se3_oracle.evaluate(g, nodes)
+            assert w.min() < 1.0 == w.max()
+            np.testing.assert_allclose(cost, want_cost, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(lin.w, w, rtol=1e-12, atol=0)
+            for k, f in enumerate(factors):
+                np.testing.assert_allclose(lin.e[k], f.e, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(lin.J_a[k], f.J[0], rtol=0, atol=1e-12)
+                if len(f.J) == 2:
+                    np.testing.assert_allclose(lin.J_b[k], f.J[1], rtol=0, atol=1e-12)
+            assert len(lin.J_b) == len(g.edges)
+
+    @pytest.mark.parametrize("n, fixed", [(9, 0), (9, 4), (9, 8), (2, 0), (2, 1)])
+    def test_normal_equations_and_solve_match_dense(self, rng, n, fixed):
+        # the fixed node first, in the middle and last; (2, *): one free node
+        for mode in PgoMode:
+            g = noisy_chain_graph(rng, n, mode, outliers=(1,))
+            g.fixed = fixed
+            nodes = perturbed_nodes(rng, g)
+            f = pgo._factors(g)
+            _, lin = pgo._evaluate(f, *pgo._node_arrays(nodes))
+            free = np.delete(np.arange(n), fixed)
+            D, C, grad = pgo._normal_equations(f, lin, free)
+            assert D.shape == (n - 1, 6, 6) and C.shape == (n - 2, 6, 6) and grad.shape == (n - 1, 6)
+            _, (factors, w) = se3_oracle.evaluate(g, nodes)
+            H, want_g = se3_oracle.normal_equations(factors, w, se3_oracle.free_slots(g), 6 * (n - 1))
+            scale = np.abs(H).max()
+            np.testing.assert_allclose(block_tridiagonal_dense(D, C), H, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(grad.ravel(), want_g, rtol=0, atol=1e-12 * np.abs(want_g).max())
+            if 0 < fixed < n - 1:
+                assert not C[fixed - 1].any()  # the fixed node's free neighbours
+            for lam in (1e-4, 1.0):
+                x = solve_block_tridiagonal(damped(D, lam), C, -grad)
+                want = np.linalg.solve(H + lam * np.diag(np.diag(H)) + 1e-15 * np.eye(len(H)), -want_g)
+                np.testing.assert_allclose(x.ravel(), want, rtol=0, atol=1e-9 * np.abs(want).max())
+
+    @pytest.mark.parametrize("mode", list(PgoMode))
+    def test_optimize_matches_oracle_on_100_nodes(self, mode):
+        rng = np.random.default_rng(100)
+        g = noisy_chain_graph(rng, 100, mode, outliers=(17, 60))
+        nodes, rep = optimize(g)
+        want_nodes, want = se3_oracle.optimize(g)
+        weights = se3_oracle.evaluate(g, g.nodes)[1][1]
+        assert weights.min() < 1.0 == weights.max()  # both Huber branches at the start
+        assert rep.converged and want.converged
+        np.testing.assert_allclose(rep.final_cost, want.final_cost, rtol=1e-9, atol=1e-20)
+        for got, ref in zip(nodes, want_nodes):
+            assert got.allclose(ref, atol=1e-9)
+        assert nodes[g.fixed] is g.nodes[g.fixed]

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from seqloc.pgo import HUBER_THRESHOLD
-from seqloc.solver import COST_FLOOR, MAX_TRIALS, huber, levenberg_marquardt
+from seqloc.solver import COST_FLOOR, MAX_TRIALS, huber, levenberg_marquardt, solve_block_tridiagonal
+
+from conftest import block_tridiagonal_dense
 
 
 def _huber_cost(e: np.ndarray, delta: float) -> float:
@@ -80,7 +82,7 @@ def rosenbrock():
     def normal_equations(x, r):
         seen.append(float(r @ r))
         J = np.array([[-1.0, 0.0], [-20.0 * x[0], 10.0]])
-        return J.T @ J, J.T @ r
+        return (J.T @ J)[None], np.empty((0, 2, 2)), (J.T @ r)[None]  # one block
 
     return evaluate, normal_equations, seen
 
@@ -110,10 +112,10 @@ class Scripted:
 
     def normal_equations(self, x, state):
         self.normal_calls += 1
-        return self.H, self.g
+        return self.H[None], np.empty((0,) + self.H.shape), self.g[None]
 
     def retract(self, x, delta):
-        self.steps.append(delta.copy())
+        self.steps.append(delta[0].copy())
         return next(self.labels)
 
     def run(self, max_iters=50, tol=1e-12):
@@ -132,7 +134,7 @@ class TestLevenbergMarquardt:
         evaluate, normal_equations, seen = rosenbrock()
         x0 = np.array([-1.2, 1.0])
         x, r, rep = levenberg_marquardt(
-            x0, evaluate, normal_equations, lambda x, d: x + d, 100, 1e-12
+            x0, evaluate, normal_equations, lambda x, d: x + d[0], 100, 1e-12
         )
         assert rep.converged
         assert rep.initial_cost == evaluate(x0)[0] == seen[0]
@@ -193,3 +195,71 @@ class TestLevenbergMarquardt:
         p = Scripted([[1.0]], [-1.0], 1.0, [0.5, 0.5 - 1e-9])
         _, _, rep = p.run(tol=1e-6)
         assert rep == (2, 1.0, 0.5 - 1e-9, True)
+
+
+def random_chain_system(rng, n, b=6):
+    """A symmetric positive-definite block-tridiagonal system built, as a pose
+    chain's is, from one random factor per link and one per block."""
+    D = np.zeros((n, b, b))
+    C = np.zeros((max(n - 1, 0), b, b))
+    for k in range(n):
+        P = rng.normal(size=(b, b))
+        D[k] += P.T @ P
+    for k in range(n - 1):
+        Ja, Jb = rng.normal(size=(2, b, b))
+        D[k] += Ja.T @ Ja
+        D[k + 1] += Jb.T @ Jb
+        C[k] = Ja.T @ Jb
+    return D, C, rng.normal(size=(n, b))
+
+
+class TestBlockTridiagonal:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 99])
+    def test_matches_dense_solve(self, rng, n):
+        D, C, r = random_chain_system(rng, n)
+        x = solve_block_tridiagonal(D, C, r)
+        want = np.linalg.solve(block_tridiagonal_dense(D, C), r.ravel())
+        assert x.shape == r.shape
+        np.testing.assert_allclose(x.ravel(), want, rtol=0, atol=1e-10 * np.abs(want).max())
+
+    def test_no_blocks(self):
+        x = solve_block_tridiagonal(np.zeros((0, 6, 6)), np.zeros((0, 6, 6)), np.zeros((0, 6)))
+        assert x.shape == (0, 6)
+
+    def test_one_block_steps_as_the_dense_damped_solve(self, rng):
+        # refine_pose's 6x6 H is one block: every trial step of the loop is
+        # bit for bit the former np.linalg.solve(H + lam diag(H) + 1e-15 I, -g)
+        D, _, g = random_chain_system(rng, 1)
+        H, g = D[0], g[0]
+        p = Scripted(H, g, 1.0, [2.0] * 3 + [0.5, 2.0, 0.25])
+        p.run(max_iters=2)
+        lams = [1e-4, 1e-3, 1e-2, 1e-1, 1e-2, 1e-1]
+        assert len(p.steps) == len(lams)
+        for step, lam in zip(p.steps, lams):
+            want = np.linalg.solve(H + lam * np.diag(np.diag(H)) + 1e-15 * np.eye(6), -g)
+            assert (step == want).all()
+
+    @pytest.mark.parametrize("k", [0, 4, 9])
+    def test_singular_block_raises(self, rng, k):
+        D, C, r = random_chain_system(rng, 10)
+        D[k] = 0.0
+        if k:
+            C[k - 1] = 0.0
+        if k < 9:
+            C[k] = 0.0
+        with pytest.raises(ValueError):
+            solve_block_tridiagonal(D, C, r)
+
+    @pytest.mark.parametrize("where", ["D", "C", "r"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_input_raises(self, rng, where, value):
+        system = dict(zip("DCr", random_chain_system(rng, 5)))
+        system[where][2, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_block_tridiagonal(system["D"], system["C"], system["r"])
+
+    def test_non_finite_hessian_rejects_every_trial(self):
+        p = Scripted([[1.0, math.inf], [math.inf, 1.0]], [-1.0, 1.0], 1.0, [])
+        x, _, rep = p.run()
+        assert p.steps == [] and x == 0
+        assert rep == (0, 1.0, 1.0, True)

@@ -210,6 +210,8 @@ class Pose:
 
     def __post_init__(self):
         t = np.array(self.translation, dtype=float).reshape(3)
+        if not np.isfinite(t).all():
+            raise ValueError("pose translation not finite")
         t.setflags(write=False)
         object.__setattr__(self, "translation", t)
 
@@ -381,8 +383,39 @@ def _quat_matrix(q: np.ndarray) -> np.ndarray:
     return R
 
 
+def _matrix_quat(R: np.ndarray) -> np.ndarray:
+    """(N,3,3) rotation matrices -> (N,4) canonical quaternions, by
+    Quaternion.from_matrix's branches (Shepperd's method)."""
+    t = np.trace(R, axis1=1, axis2=2)
+    d = np.diagonal(R, axis1=1, axis2=2)
+    a = R[:, [2, 0, 1], [1, 2, 0]] - R[:, [1, 2, 0], [2, 0, 1]]  # 4 w (x, y, z)
+    s = R[:, [0, 0, 1], [1, 2, 2]] + R[:, [1, 2, 2], [0, 0, 1]]  # 4 (xy, xz, yz)
+    # Row k is 4 q_k q; row 0 is the trace branch, rows 1-3 the diagonal ones.
+    M = np.empty((len(R), 4, 4))
+    M[:, 0, 0] = 1.0 + t
+    M[:, 0, 1:], M[:, 1:, 0] = a, a
+    M[:, [1, 2, 3], [1, 2, 3]] = 1.0 + 2.0 * d - t[:, None]
+    M[:, 1, 2], M[:, 1, 3], M[:, 2, 3] = s.T
+    M[:, 2, 1], M[:, 3, 1], M[:, 3, 2] = s.T
+    k = np.where(t > 0.0, 0, 1 + np.argmax(d, axis=1))
+    row = M[np.arange(len(R)), k]
+    return _canonical(row / (2.0 * np.sqrt(row[np.arange(len(R)), k]))[:, None])
+
+
 def _rotate_many(R: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nj->ni", R, v)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross over the last axis, without its axis bookkeeping."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def _norm_rows(v: np.ndarray) -> np.ndarray:
@@ -462,21 +495,41 @@ def adjoint_many(q, t) -> np.ndarray:
     return A
 
 
+# Below this angle the Q coefficients come from their series: the closed forms
+# of c2 and c3 cancel to about 100 eps / theta^4 of relative error, and eight
+# series terms are exact to rounding up to here.
+Q_SERIES_MAX_ANGLE = 1.0
+
+
+def _alternating_series(t2: np.ndarray, first: int, terms: int = 8) -> np.ndarray:
+    """sum over k < terms of (-t2)^k / (first + 2k)!, by Horner's rule."""
+    out = np.zeros_like(t2)
+    for k in range(terms - 1, -1, -1):
+        out = 1.0 / math.factorial(first + 2 * k) - t2 * out
+    return out
+
+
+def _q_coefficients(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c1 = (theta - sin)/theta^3, c2 = (1 - theta^2/2 - cos)/theta^4 and
+    c3 = (theta - sin - theta^3/6)/theta^5 of the Q block, to rounding."""
+    small = theta < Q_SERIES_MAX_ANGLE
+    th = np.where(small, 1.0, theta)
+    t2 = theta**2
+    c1 = np.where(small, _alternating_series(t2, 3), (th - np.sin(th)) / th**3)
+    c2 = np.where(small, -_alternating_series(t2, 4), (1.0 - 0.5 * th**2 - np.cos(th)) / th**4)
+    c3 = np.where(small, -_alternating_series(t2, 5), (th - np.sin(th) - th**3 / 6.0) / th**5)
+    return c1, c2, c3
+
+
 def se3_right_jacobian_inv_many(tau: np.ndarray) -> np.ndarray:
     """(N,6) -> (N,6,6) inverse right Jacobians: d/d eps Log(Exp(tau) Exp(eps))
     at eps=0 is the inverse of each.
 
     Built as the inverse left Jacobian at -tau (Barfoot's closed form), whose
-    Q block uses a series below theta = 1e-4.
+    Q block uses series below Q_SERIES_MAX_ANGLE.
     """
     rho, phi = -tau[:, :3], -tau[:, 3:]
-    theta = _norm_rows(phi)
-    small = theta < 1e-4
-    th = np.where(small, 1.0, theta)
-    t2 = theta**2
-    c1 = np.where(small, 1.0 / 6.0 - t2 / 120.0, (th - np.sin(th)) / th**3)
-    c2 = np.where(small, 1.0 / 24.0 - t2 / 720.0, (1.0 - 0.5 * th**2 - np.cos(th)) / th**4)
-    c3 = np.where(small, -1.0 / 120.0 + t2 / 5040.0, (th - np.sin(th) - th**3 / 6.0) / th**5)
+    c1, c2, c3 = _q_coefficients(_norm_rows(phi))
     rx, px = _skew_many(rho), _skew_many(phi)
     pr, rp = px @ rx, rx @ px
     prp = pr @ px
@@ -559,19 +612,22 @@ def project_points_with_jacobian(
     X = np.asarray(points, dtype=float).reshape(-1, 3)
     R = T_cam_from_world.rotation.matrix
     pc = X @ R.T + T_cam_from_world.translation
-    z = pc[:, 2]
-    valid = z > BEHIND_CAMERA_DEPTH
-    inv_z = 1.0 / np.where(valid, z, 1.0)
-    uv = pc[:, :2] * inv_z[:, None]  # normalized image coordinates
-    f = np.array([K.fx, K.fy])
-    pix = uv * f + np.array([K.cx, K.cy])
+    return project_many_with_jacobian(R, pc, X, np.array([K.fx, K.fy]), np.array([K.cx, K.cy]))
+
+
+def project_many_with_jacobian(
+    R: np.ndarray, pc: np.ndarray, X: np.ndarray, f: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """project_points_with_jacobian over stacks that broadcast together: points
+    X (...,3) whose camera-frame coordinates are pc = R X + t (...,3), for
+    T(cam<-world) rotations R (...,3,3), focal lengths f and principal points
+    c (...,2).
+    """
+    valid = pc[..., 2] > BEHIND_CAMERA_DEPTH
+    inv_z = 1.0 / np.where(valid, pc[..., 2], 1.0)
+    uv = pc[..., :2] * inv_z[..., None]  # normalized image coordinates
+    pix = uv * f + c
     # Rows of J_pi R: (f / z) (R_row - uv R_2), one (2,3) block per point.
-    a = (f * inv_z[:, None])[:, :, None] * (R[:2] - uv[:, :, None] * R[2])
-    J = np.empty((len(X), 2, 6))
-    J[:, :, :3] = a
+    a = (f * inv_z[..., None])[..., None] * (R[..., :2, :] - uv[..., None] * R[..., 2:3, :])
     # -J_pi R [X]x, row by row, is the cross product X x a.
-    x0, x1, x2 = (X[:, k, None] for k in range(3))
-    J[:, :, 3] = x1 * a[:, :, 2] - x2 * a[:, :, 1]
-    J[:, :, 4] = x2 * a[:, :, 0] - x0 * a[:, :, 2]
-    J[:, :, 5] = x0 * a[:, :, 1] - x1 * a[:, :, 0]
-    return pix, J, valid
+    return pix, np.concatenate([a, _cross(X[..., None, :], a)], axis=-1), valid

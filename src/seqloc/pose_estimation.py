@@ -13,11 +13,12 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .geometry import CameraIntrinsics, Pose, boxplus, project_points, project_points_with_jacobian
+from .geometry import BEHIND_CAMERA_DEPTH, CameraIntrinsics, Pose, Quaternion, _cross, _dot, _matrix_quat
+from .geometry import _quat_matrix, boxplus, compose_many, project_many_with_jacobian, se3_exp_many
 from .solver import huber, levenberg_marquardt
 
 log = logging.getLogger(__name__)
@@ -52,105 +53,116 @@ class PoseEstimate:
 # --- minimal solvers ------------------------------------------------------------
 
 
-def _bearings(pixels: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
-    rays = np.column_stack(
-        [(pixels[:, 0] - K.cx) / K.fx, (pixels[:, 1] - K.cy) / K.fy, np.ones(len(pixels))]
-    )
-    return rays / np.linalg.norm(rays, axis=1, keepdims=True)
+def _cubic_root(e2: np.ndarray, e1: np.ndarray, e0: np.ndarray) -> np.ndarray:
+    """A real root of t^3 + e2 t^2 + e1 t + e0 (Cardano; the largest of three
+    real roots), polished by Newton's method."""
+    p = e1 - e2**2 / 3.0
+    q = 2.0 * e2**3 / 27.0 - e2 * e1 / 3.0 + e0
+    disc = q**2 / 4.0 + p**3 / 27.0
+    root = np.sqrt(np.maximum(disc, 0.0))
+    one = np.cbrt(-0.5 * q + root) + np.cbrt(-0.5 * q - root)
+    pn = np.minimum(p, -1e-300)  # p < 0 wherever disc < 0
+    three = 2.0 * np.sqrt(-pn / 3.0) * np.cos(np.arccos(np.clip(1.5 * q / pn * np.sqrt(-3.0 / pn), -1, 1)) / 3)
+    t = np.where(disc > 0.0, one, three) - e2 / 3.0
+    for _ in range(2):
+        f, df = ((t + e2) * t + e1) * t + e0, (3.0 * t + 2.0 * e2) * t + e1
+        t = np.where(df != 0.0, t - f / np.where(df != 0.0, df, 1.0), t)
+    return t
 
 
-def _kabsch(src: np.ndarray, dst: np.ndarray) -> Pose:
-    """Rigid transform with dst = R src + t."""
-    cs, cd = src.mean(axis=0), dst.mean(axis=0)
-    H = (src - cs).T @ (dst - cd)
-    U, _, Vt = np.linalg.svd(H)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-    return Pose.from_rt(R, cd - R @ cs)
+POLISH_STEPS = 1  # Gauss-Newton steps of each P3P pose on its own sample
+_PAIRS = np.array([[0, 1], [0, 2], [1, 2]]).T  # the sample's point pairs, one constraint each
+_LONGEST_LAST = np.array([[2, 0, 1], [1, 0, 2], [0, 1, 2]])  # reorderings, by longest pair
 
 
-def p3p(points3d, pixels, K: CameraIntrinsics) -> list[Pose]:
-    """Grunert's three-point solver; returns up to 4 poses T(cam<-world).
+def p3p(points3d, pixels, K: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lambda Twist P3P (Persson & Nordberg, ECCV 2018) over a block of samples.
 
-    Each returned pose is polished with Gauss-Newton on the three reprojection
-    constraints and reprojects all three points to < 1e-6 px; degenerate
-    (collinear or coincident) triples yield an empty list.
+    points3d (B,3,3) and pixels (B,3,2) hold B minimal samples. The depths l
+    along the unit rays y solve l^T M_ij l = |X_i - X_j|^2, where
+    l^T M_ij l = l_i^2 + l_j^2 - 2 (y_i.y_j) l_i l_j. A singular member of the
+    pencil of two homogeneous differences is a pair of planes through the
+    origin; each plane meets the pencil in two rays, scaled by the longest
+    pair's constraint. Each pose is then polished by Gauss-Newton on its
+    sample's pixels. Returns the solutions T(cam<-world) as (S,4) quaternions
+    and (S,3) translations, with the (S,) index of the sample each solves.
+    Each reprojects its sample to < 1e-6 px; degenerate (collinear or
+    coincident) samples yield none.
     """
-    pts = np.asarray(points3d, dtype=float).reshape(3, 3)
-    pix = np.asarray(pixels, dtype=float).reshape(3, 2)
+    X = np.asarray(points3d, dtype=float).reshape(-1, 3, 3)
+    x = np.asarray(pixels, dtype=float).reshape(-1, 3, 2)
+    i, j = _PAIRS
+    rows = np.arange(len(X))[:, None]
+    order = _LONGEST_LAST[np.argmax(_dot(X[:, i] - X[:, j], X[:, i] - X[:, j]), axis=1)]
+    X, x = X[rows, order], x[rows, order]  # pair (1, 2), the reference, is the longest
+    f, c = np.array([K.fx, K.fy]), np.array([K.cx, K.cy])
+    y = np.concatenate([(x - c) / f, np.ones(x.shape[:2] + (1,))], axis=2)
+    y /= np.linalg.norm(y, axis=2, keepdims=True)
+    a, (b01, b02, b12) = _dot(X[:, i] - X[:, j], X[:, i] - X[:, j]), _dot(y[:, i], y[:, j]).T
+    span2 = np.maximum(np.maximum(a[:, 0], a[:, 1]), 1e-24)
+    good = np.linalg.norm(_cross(X[:, 1] - X[:, 0], X[:, 2] - X[:, 0]), axis=1) >= 1e-9 * span2
 
-    cross = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-    scale = max(np.linalg.norm(pts[1] - pts[0]), np.linalg.norm(pts[2] - pts[0]), 1e-12)
-    if np.linalg.norm(cross) < 1e-9 * scale**2:
-        return []
-
-    f = _bearings(pix, K)
-    a2 = float(np.sum((pts[1] - pts[2]) ** 2))
-    b2 = float(np.sum((pts[0] - pts[2]) ** 2))
-    c2 = float(np.sum((pts[0] - pts[1]) ** 2))
-    if min(a2, b2, c2) < 1e-16:
-        return []
-    cos_a = float(np.dot(f[1], f[2]))
-    cos_b = float(np.dot(f[0], f[2]))
-    cos_g = float(np.dot(f[0], f[1]))
-
-    # Grunert's system with s2 = u s1, s3 = v s1 reduces to a quartic in v.
-    # Build it by exact polynomial arithmetic instead of hand-expanded
-    # coefficients:  u = N(v)/D(v), then  N^2 - 2 cos_g N D + D^2 (1 - B S) = 0
-    # with S(v) = 1 + v^2 - 2 v cos_b, A = a2/b2, B = c2/b2.
-    A, B = a2 / b2, c2 / b2
-    S = np.array([1.0, -2.0 * cos_b, 1.0])  # ascending powers of v
-    N = npoly.polyadd((A - B) * S, np.array([1.0, 0.0, -1.0]))
-    D = np.array([2.0 * cos_g, -2.0 * cos_a])
-    quartic = npoly.polyadd(
-        npoly.polymul(N, N),
-        npoly.polyadd(
-            npoly.polymul(-2.0 * cos_g * N, D),
-            npoly.polymul(npoly.polymul(D, D), npoly.polyadd(np.array([1.0]), -B * S)),
-        ),
-    )
-    roots = npoly.polyroots(quartic)
-
-    poses: list[Pose] = []
-    for v in roots:
-        if abs(v.imag) > 1e-6 or v.real <= 0:
-            continue
-        v = float(v.real)
-        denom = float(npoly.polyval(v, D))
-        s_v = float(npoly.polyval(v, S))
-        if abs(denom) < 1e-12 or s_v <= 1e-16:
-            continue
-        u = float(npoly.polyval(v, N)) / denom
-        s1 = math.sqrt(b2 / s_v)
-        s2, s3 = u * s1, v * s1
-        if s1 <= 0 or s2 <= 0 or s3 <= 0:
-            continue
-        cam_pts = np.array([s1 * f[0], s2 * f[1], s3 * f[2]])
-        T = _kabsch(pts, cam_pts)
-        T = _polish_minimal(T, pts, pix, K)
-        if T is None:
-            continue
-        if any(T.allclose(p, atol=1e-7) for p in poses):
-            continue
-        poses.append(T)
-    return poses
-
-
-def _polish_minimal(T: Pose, pts, pix, K, iters: int = 10) -> Pose | None:
-    """Gauss-Newton to machine precision on the exactly-determined 3-point system."""
-    # The projection after the last step doubles as the closing error check.
-    for step in range(iters + 1):
-        p, J, ok = project_points_with_jacobian(K, T, pts)
-        if not ok.all():
-            return None
-        r = p - pix
-        if np.abs(r).max() < 1e-9 or step == iters:
-            break
-        try:
-            T = boxplus(T, np.linalg.solve(J.reshape(6, 6), -r.reshape(6)))
-        except ValueError:  # a singular system, or a non-finite step
-            return None
-    return T if np.linalg.norm(r, axis=1).max() < 1e-6 else None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r1, r2 = a[:, 0] / a[:, 2], a[:, 1] / a[:, 2]
+        z, one = np.zeros_like(r1), np.ones_like(r1)  # l^T D l = 0 for D = M_0j - r_j M_12:
+        D1 = np.stack([one, -b01, z, -b01, 1 - r1, r1 * b12, z, r1 * b12, -r1], axis=1).reshape(-1, 3, 3)
+        D2 = np.stack([one, z, -b02, z, -r2, r2 * b12, -b02, r2 * b12, 1 - r2], axis=1).reshape(-1, 3, 3)
+        # det(mu D1 + nu D2) = sum_n coef[n] mu^(3-n) nu^n; solve in the ratio
+        # whose leading coefficient is the larger.
+        m01, m02, m12, k = 1 - b01**2, 1 - b02**2, 1 - b12**2, 2 * (b01 * b02 * b12 - 1)
+        coef = (
+            r1 * r1 * m12 - r1 * m01,
+            m01 * (1 - r2) + r1 * r1 * m12 + r1 * k + 2 * r1 * r2 * m12,
+            m02 * (1 - r1) + r2 * r2 * m12 + r2 * k + 2 * r1 * r2 * m12,
+            r2 * r2 * m12 - r2 * m02,
+        )
+        in_nu = np.abs(coef[3]) >= np.abs(coef[0])
+        lead = np.where(in_nu, coef[3], coef[0])
+        g = _cubic_root(*(np.where(in_nu, coef[3 - n], coef[n]) / lead for n in (1, 2, 3)))
+        mu, nu = np.where(in_nu, 1.0, g)[:, None, None], np.where(in_nu, g, 1.0)[:, None, None]
+        D0 = mu * D1 + nu * D2
+        Dm = np.where(np.abs(mu) <= np.abs(nu), D1, D2)  # the one that weighs less in D0
+        good &= np.isfinite(D0).all(axis=(1, 2))
+        w, E = np.linalg.eigh(np.where(good[:, None, None], D0, np.eye(3)))
+        good &= (w[:, 0] < 0.0) & (w[:, 2] > 0.0)  # a real pair of planes
+        # Both planes hold the null vector u; v spans the rest of each.
+        u = E[:, None, :, 1]
+        v = np.sqrt(-w[:, 2] / w[:, 0])[:, None, None] * E[:, None, :, 0]
+        v = v + np.array([[1.0], [-1.0]]) * E[:, None, :, 2]
+        Du = np.einsum("bij,bkj->bki", Dm, u)
+        A, B, C = _dot(u, Du), _dot(v, Du), _dot(v, np.einsum("bij,bkj->bki", Dm, v))
+        disc = B**2 - A * C  # (alpha u + beta v)^T Dm (alpha u + beta v) = 0 in each plane
+        s = -(B + np.where(B >= 0.0, 1.0, -1.0) * np.sqrt(disc))
+        rays = np.concatenate([s[..., None] * u + A[..., None] * v, C[..., None] * u + s[..., None] * v], axis=1)
+        hit = np.nonzero(good[:, None] & (disc >= 0.0)[:, [0, 1, 0, 1]])
+        d, sample = rays[hit], hit[0]
+        # Scale by the reference constraint, l_1^2 + l_2^2 - 2 b12 l_1 l_2 = a12.
+        scale = np.sqrt(a[sample, 2] / (d[:, 1] ** 2 + d[:, 2] ** 2 - 2 * b12[sample] * d[:, 1] * d[:, 2]))
+        Y = (d * (np.sign(d.sum(axis=1)) * scale)[:, None])[:, :, None] * y[sample]
+        # R maps the two differences and their cross product onto the camera's.
+        Xs = X[sample]
+        dX, dY = Xs[:, 1:] - Xs[:, :1], Y[:, 1:] - Y[:, :1]
+        nX = _cross(dX[:, 0], dX[:, 1])
+        Xinv = np.stack([_cross(dX[:, 1], nX), _cross(nX, dX[:, 0]), nX], axis=1) / _dot(nX, nX)[:, None, None]
+        R = np.stack([dY[:, 0], dY[:, 1], _cross(dY[:, 0], dY[:, 1])], axis=2) @ Xinv
+        keep = (Y[..., 2] > 0.0).all(axis=1) & np.isfinite(R).all(axis=(1, 2))  # positive depths
+        sample, Xs, Y, xs = sample[keep], Xs[keep], Y[keep], x[sample[keep]]
+        q = _matrix_quat(R[keep])
+        t = Y[:, 0] - np.einsum("sij,sj->si", _quat_matrix(q), Xs[:, 0])
+        for step in range(POLISH_STEPS + 1):  # Gauss-Newton on the six pixel equations
+            R = _quat_matrix(q)
+            pc = np.einsum("sij,snj->sni", R, Xs) + t[:, None]
+            pix, J, front = project_many_with_jacobian(R[:, None], pc, Xs, f, c)
+            r = pix - xs
+            if step == POLISH_STEPS:
+                break
+            try:
+                delta = np.linalg.solve(J.reshape(-1, 6, 6), -r.reshape(-1, 6, 1))[..., 0]
+            except np.linalg.LinAlgError:  # an exactly singular system: keep the block unpolished
+                break
+            q, t = compose_many(q, t, *se3_exp_many(delta))
+        exact = front.all(axis=1) & (np.linalg.norm(r, axis=2) < 1e-6).all(axis=1)
+    return q[exact], t[exact], sample[exact]
 
 
 def dlt_pnp(points3d, pixels, K: CameraIntrinsics) -> Pose | None:
@@ -185,72 +197,86 @@ def dlt_pnp(points3d, pixels, K: CameraIntrinsics) -> Pose | None:
 # --- residuals and robust refinement -------------------------------------------
 
 
+class _Observations(NamedTuple):
+    """Correspondences with their view's pose and intrinsics gathered per point."""
+
+    X: np.ndarray  # (n,3) points in the solve frame
+    x: np.ndarray  # (n,2) observed pixels
+    R: np.ndarray  # (n,3,3) and
+    t: np.ndarray  # (n,3): T(cam<-global) of the observing view
+    f: np.ndarray  # (n,2) focal lengths
+    c: np.ndarray  # (n,2) principal points
+
+
+def _observations(points, pixels, cam_idx, views: list[CameraView]) -> _Observations:
+    cam_idx = np.asarray(cam_idx, dtype=int)
+    poses = [v.T_cam_from_global for v in views]
+    return _Observations(
+        np.asarray(points, dtype=float).reshape(-1, 3),
+        np.asarray(pixels, dtype=float).reshape(-1, 2),
+        np.array([T.rotation.matrix for T in poses]).reshape(-1, 3, 3)[cam_idx],
+        np.array([T.translation for T in poses]).reshape(-1, 3)[cam_idx],
+        np.array([[v.K.fx, v.K.fy] for v in views]).reshape(-1, 2)[cam_idx],
+        np.array([[v.K.cx, v.K.cy] for v in views]).reshape(-1, 2)[cam_idx],
+    )
+
+
+def _transform(R: np.ndarray, t: np.ndarray, P) -> list[np.ndarray]:
+    """R P + t as three components, from P's three components; R (...,3,3) and
+    t (...,3) broadcast against them. Elementwise, so that each entry is the
+    same sum whatever the shapes."""
+    return [R[..., k, 0] * P[0] + R[..., k, 1] * P[1] + R[..., k, 2] * P[2] + t[..., k] for k in range(3)]
+
+
+def _errors(q: np.ndarray, t: np.ndarray, obs: _Observations) -> np.ndarray:
+    """(H,n) pixel errors of H poses T(global<-solve), given as (H,4)
+    quaternions and (H,3) translations; inf for points behind their camera."""
+    pc = _transform(obs.R, obs.t, _transform(_quat_matrix(q)[:, None], t[:, None], obs.X.T))
+    front = pc[2] > BEHIND_CAMERA_DEPTH
+    z = np.where(front, pc[2], 1.0)
+    du, dv = ((obs.f[:, k] * pc[k] / z + obs.c[:, k] - obs.x[:, k]) for k in (0, 1))
+    return np.where(front, np.hypot(du, dv), np.inf)
+
+
+def _arrays(T: Pose) -> tuple[np.ndarray, np.ndarray]:
+    return T.rotation.wxyz[None], T.translation[None]
+
+
 def reprojection_errors(
-    T_global_from_solve: Pose,
-    points: np.ndarray,
-    pixels: np.ndarray,
-    cam_idx: np.ndarray,
-    views: list[CameraView],
+    T_global_from_solve: Pose, points: np.ndarray, pixels: np.ndarray, cam_idx: np.ndarray, views: list[CameraView]
 ) -> np.ndarray:
     """Pixel error per correspondence; inf for points behind their camera."""
-    errs = np.full(len(points), np.inf)
-    for c, view in enumerate(views):
-        sel = np.flatnonzero(cam_idx == c)
-        if not len(sel):
-            continue
-        W = view.T_cam_from_global.compose(T_global_from_solve)
-        pix, depth = project_points(view.K, W, points[sel])
-        ok = depth > 1e-9
-        d = np.linalg.norm(pix - pixels[sel], axis=1)
-        errs[sel[ok]] = d[ok]
-    return errs
+    return _errors(*_arrays(T_global_from_solve), _observations(points, pixels, cam_idx, views))[0]
 
 
 def refine_pose(
-    T0: Pose,
-    points: np.ndarray,
-    pixels: np.ndarray,
-    cam_idx: np.ndarray,
-    views: list[CameraView],
-    huber_px: float = 2.0,
-    max_iters: int = 50,
-    tol: float = 1e-12,
+    T0: Pose, points: np.ndarray, pixels: np.ndarray, cam_idx: np.ndarray, views: list[CameraView],
+    huber_px: float = 2.0, max_iters: int = 50, tol: float = 1e-12,
 ) -> Pose:
     """Robust Levenberg-Marquardt (seqloc.solver) on reprojection residuals,
     with the Huber kernel at huber_px on each residual's norm.
 
-    The cost comes from reprojection_errors and is infinite while a point is
-    behind its camera. The normal equations are built view by view: one
-    batched projection with Jacobians over the view's points, points behind
-    their camera left out, Huber-weighted sums by einsum. Returns the best
-    iterate; warns instead of raising when the iteration budget runs out
-    before convergence.
+    The cost is infinite while a point is behind its camera. The normal
+    equations come from one projection with Jacobians over all points, each
+    through its own view, points behind their camera left out, and
+    Huber-weighted sums by einsum. Returns the best iterate; warns instead of
+    raising when the iteration budget runs out before convergence.
     """
-    points = np.asarray(points, dtype=float)
-    pixels = np.asarray(pixels, dtype=float)
-    cam_idx = np.asarray(cam_idx)
-    per_view = []
-    for k, view in enumerate(views):
-        sel = cam_idx == k
-        if sel.any():
-            per_view.append((view, points[sel], pixels[sel]))
+    obs = _observations(points, pixels, cam_idx, views)
     threshold = huber_px**2
 
     def evaluate(T: Pose) -> tuple[float, None]:
-        e = reprojection_errors(T, points, pixels, cam_idx, views)
+        e = _errors(*_arrays(T), obs)[0]
         return float(huber(e**2, threshold)[0].sum()), None
 
     def normal_equations(T: Pose, _) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        H = np.zeros((6, 6))
-        g = np.zeros(6)
-        for view, X, x in per_view:
-            W = view.T_cam_from_global.compose(T)
-            p, J, ok = project_points_with_jacobian(view.K, W, X)
-            r = p[ok] - x[ok]
-            J = J[ok]
-            w = huber((r * r).sum(axis=1), threshold)[1]
-            H += np.einsum("n,nij,nik->jk", w, J, J)
-            g += np.einsum("n,nij,ni->j", w, J, r)
+        R = obs.R @ T.rotation.matrix  # R(cam<-solve) through each point's view
+        pc = np.einsum("nij,nj->ni", R, obs.X) + obs.R @ T.translation + obs.t
+        p, J, ok = project_many_with_jacobian(R, pc, obs.X, obs.f, obs.c)
+        r, J = p[ok] - obs.x[ok], J[ok]
+        w = huber((r * r).sum(axis=1), threshold)[1]
+        H = np.einsum("n,nij,nik->jk", w, J, J)
+        g = np.einsum("n,nij,ni->j", w, J, r)
         return H[None], np.empty((0, 6, 6)), g[None]  # one block
 
     T, _, report = levenberg_marquardt(T0, evaluate, normal_equations, boxplus, max_iters, tol)
@@ -261,126 +287,96 @@ def refine_pose(
 
 # --- LO-RANSAC -------------------------------------------------------------------
 
+BLOCK = 8  # minimal samples solved and scored together; the stop is checked per block
+LO_ROUNDS = 3  # local optimizations in a row, each only after the inlier count rose
+
+
+def _draw_triples(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
+    """(size,3) uniform draws of three distinct elements of pool."""
+    i0, i1, i2 = rng.integers(0, [len(pool), len(pool) - 1, len(pool) - 2], size=(size, 3)).T
+    i1 = i1 + (i1 >= i0)
+    lo, hi = np.minimum(i0, i1), np.maximum(i0, i1)
+    i2 = i2 + (i2 >= lo)
+    i2 = i2 + (i2 >= hi)
+    return pool[np.column_stack([i0, i1, i2])]
+
 
 def lo_ransac_pnp(
-    frame_id: str,
-    points: np.ndarray,
-    pixels: np.ndarray,
-    cam_idx: np.ndarray,
-    views: list[CameraView],
-    *,
-    thresh_px: float = 3.0,
-    confidence: float = 0.9999,
-    max_iters: int = 10000,
-    min_inliers: int = 10,
-    huber_px: float = 2.0,
-    seed: int = 0,
+    frame_id: str, points: np.ndarray, pixels: np.ndarray, cam_idx: np.ndarray, views: list[CameraView], *,
+    thresh_px: float = 3.0, confidence: float = 0.9999, max_iters: int = 10000, min_inliers: int = 10,
+    huber_px: float = 2.0, seed: int = 0,
 ) -> PoseEstimate:
-    """LO-RANSAC over P3P hypotheses with nonlinear local optimization.
+    """LO-RANSAC over blocks of BLOCK P3P samples with nonlinear local optimization.
 
-    Deterministic for a given seed. The best model is ranked by inlier count,
-    ties by lower inlier RMS; every new best triggers refinement on its inlier
-    set. Estimates with fewer than min_inliers are rejected.
+    Deterministic for a given seed. Models rank by inlier count, ties by lower
+    inlier RMS, then by order in the block. Local optimization (refinement on
+    the inlier set, after Lebeda, Matas & Chum, BMVC 2012) runs only when a
+    block raises the best inlier count, and again while each round raises it,
+    up to LO_ROUNDS rounds. The adaptive stop is checked after each block, so
+    iterations round up to a whole block, but never past max_iters.
+    Estimates with fewer than min_inliers are rejected.
     """
-    points = np.asarray(points, dtype=float)
-    pixels = np.asarray(pixels, dtype=float)
-    cam_idx = np.asarray(cam_idx, dtype=int)
-    n = len(points)
-    if n < 3:
-        return PoseEstimate(
-            frame_id, None, 0, np.zeros(n, dtype=bool), PoseStatus.SKIPPED_NO_MATCHES
-        )
-
+    obs = _observations(points, pixels, cam_idx, views)
+    points, pixels, cam_idx, n = obs.X, obs.x, np.asarray(cam_idx, dtype=int), len(obs.X)
     counts = np.bincount(cam_idx, minlength=len(views))
-    main_cam = int(np.argmax(counts))
+    main_cam = int(np.argmax(counts)) if n else 0
     main_sel = np.flatnonzero(cam_idx == main_cam)
     if len(main_sel) < 3:
-        return PoseEstimate(
-            frame_id, None, 0, np.zeros(n, dtype=bool), PoseStatus.SKIPPED_NO_MATCHES
-        )
+        return PoseEstimate(frame_id, None, 0, np.zeros(n, dtype=bool), PoseStatus.SKIPPED_NO_MATCHES)
     K_main = views[main_cam].K
     T_global_from_cam = views[main_cam].T_cam_from_global.inverse()
+    q_gc, t_gc = _arrays(T_global_from_cam)
 
     rng = np.random.default_rng(seed)
-    best_pose: Pose | None = None
-    best_mask = np.zeros(n, dtype=bool)
-    best_count = 0
-    best_rms = math.inf
+    best_pose, best_mask, best_count, best_rms = None, np.zeros(n, dtype=bool), 0, math.inf
     history: list[int] = []
 
-    def score(T: Pose):
-        errs = reprojection_errors(T, points, pixels, cam_idx, views)
-        mask = errs <= thresh_px
-        count = int(mask.sum())
-        rms = float(np.sqrt(np.mean(errs[mask] ** 2))) if count else math.inf
-        return mask, count, rms
-
-    def consider(T: Pose) -> bool:
+    def consider(q: np.ndarray, t: np.ndarray) -> bool:
+        """Adopt the best of the poses if it beats the model; True if the count rose."""
         nonlocal best_pose, best_mask, best_count, best_rms
-        mask, count, rms = score(T)
-        if count > best_count or (count == best_count and rms < best_rms):
-            best_pose, best_mask, best_count, best_rms = T, mask, count, rms
-            history.append(count)
-            return True
-        return False
+        errs = _errors(q, t, obs)
+        mask = errs <= thresh_px
+        count = mask.sum(axis=1)
+        rms = np.sqrt((np.where(mask, errs, 0.0) ** 2).sum(axis=1) / np.maximum(count, 1))
+        rms[count == 0] = math.inf
+        k = np.lexsort((rms, -count))[0]  # stable: the first of equals
+        if count[k] < best_count or (count[k] == best_count and not rms[k] < best_rms):
+            return False
+        rose = count[k] > best_count
+        best_pose = Pose(Quaternion(*q[k].tolist()), t[k])
+        best_mask, best_count, best_rms = mask[k], int(count[k]), float(rms[k])
+        history.append(best_count)
+        return rose
 
-    def local_optimize() -> None:
-        # refine on the current inlier set while it keeps improving
-        for _ in range(3):
-            if best_mask.sum() < 3:
-                return
-            refined = refine_pose(
-                best_pose, points[best_mask], pixels[best_mask], cam_idx[best_mask],
-                views, huber_px=huber_px,
-            )
-            if not consider(refined):
-                return
+    def refine_on_inliers() -> Pose:
+        m = best_mask
+        return refine_pose(best_pose, points[m], pixels[m], cam_idx[m], views, huber_px=huber_px)
 
-    needed = max_iters
-    it = 0
+    needed, it = max_iters, 0
     while it < min(needed, max_iters):
-        it += 1
-        sample = rng.choice(main_sel, size=3, replace=False)
-        for S in p3p(points[sample], pixels[sample], K_main):
-            T = T_global_from_cam.compose(S)
-            if consider(T):
-                local_optimize()
+        size = min(BLOCK, max_iters - it)
+        it += size
+        sample = _draw_triples(rng, main_sel, size)
+        q, t, _ = p3p(points[sample], pixels[sample], K_main)
+        if len(q) and consider(*compose_many(np.repeat(q_gc, len(q), 0), np.repeat(t_gc, len(q), 0), q, t)):
+            for _ in range(LO_ROUNDS):
+                if best_count < 3 or not consider(*_arrays(refine_on_inliers())):
+                    break
         if best_count >= 3:
-            w = best_count / n
-            if w >= 1.0:
-                needed = it
-            else:
-                needed = min(
-                    max_iters,
-                    math.ceil(math.log(max(1e-12, 1.0 - confidence)) / math.log(1.0 - w**3)),
-                )
+            w3 = (best_count / n) ** 3
+            log_miss = math.log(max(1e-12, 1.0 - confidence))
+            needed = it if w3 >= 1.0 else min(max_iters, math.ceil(log_miss / math.log(1.0 - w3)))
 
     if best_pose is None:
         # every sampled triple was degenerate: linear fallback on the main camera
         T_lin = dlt_pnp(points[main_sel], pixels[main_sel], K_main)
         if T_lin is not None:
-            consider(T_global_from_cam.compose(T_lin))
-
-    if best_pose is None:
-        return PoseEstimate(
-            frame_id, None, 0, np.zeros(n, dtype=bool), PoseStatus.REJECTED_FEW_INLIERS,
-            iterations=it, inlier_history=history,
-        )
+            consider(*_arrays(T_global_from_cam.compose(T_lin)))
 
     if best_count >= 3:
-        refined = refine_pose(
-            best_pose, points[best_mask], pixels[best_mask], cam_idx[best_mask],
-            views, huber_px=huber_px,
-        )
-        consider(refined)
+        consider(*_arrays(refine_on_inliers()))
 
     status = PoseStatus.LOCALIZED if best_count >= min_inliers else PoseStatus.REJECTED_FEW_INLIERS
     return PoseEstimate(
-        frame_id,
-        best_pose,
-        best_count,
-        best_mask,
-        status,
-        iterations=it,
-        inlier_history=history,
+        frame_id, best_pose, best_count, best_mask, status, iterations=it, inlier_history=history
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 from seqloc.geometry import Pose, _skew, _so3_V_inv, boxminus, boxplus
@@ -29,19 +30,28 @@ def adjoint(T: Pose) -> np.ndarray:
     return A
 
 
+def q_coefficients(theta: float) -> tuple[float, float, float]:
+    """c1 = (theta - sin)/theta^3, c2 = (1 - theta^2/2 - cos)/theta^4 and
+    c3 = (theta - sin - theta^3/6)/theta^5: the closed forms (their limits at
+    0) in mpmath, rounded to floats. c3 cancels to theta^4 relative, so the
+    30 working digits grow by 5 per decade of theta below 1."""
+    if theta == 0.0:
+        return 1.0 / 6.0, -1.0 / 24.0, -1.0 / 120.0
+    with mpmath.workdps(30 + max(0, int(-5 * math.log10(theta)))):
+        t = mpmath.mpf(theta)
+        s, c = mpmath.sin(t), mpmath.cos(t)
+        return (
+            float((t - s) / t**3),
+            float((1 - t**2 / 2 - c) / t**4),
+            float((t - s - t**3 / 6) / t**5),
+        )
+
+
 def se3_Q(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Q block of the SE(3) left Jacobian (Barfoot's closed form)."""
-    theta = float(np.linalg.norm(phi))
+    c1, c2, c3 = q_coefficients(float(np.linalg.norm(phi)))
     rx = _skew(rho)
     px = _skew(phi)
-    if theta < 1e-4:
-        c1 = 1.0 / 6.0 - theta**2 / 120.0
-        c2 = 1.0 / 24.0 - theta**2 / 720.0
-        c3 = -1.0 / 120.0 + theta**2 / 5040.0
-    else:
-        c1 = (theta - math.sin(theta)) / theta**3
-        c2 = (1.0 - 0.5 * theta**2 - math.cos(theta)) / theta**4
-        c3 = (theta - math.sin(theta) - theta**3 / 6.0) / theta**5
     Q = 0.5 * rx
     Q += c1 * (px @ rx + rx @ px + px @ rx @ px)
     Q -= c2 * (px @ px @ rx + rx @ px @ px - 3.0 * px @ rx @ px)

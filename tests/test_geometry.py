@@ -29,6 +29,7 @@ from seqloc.geometry import (
     se3_log_many,
     se3_right_jacobian_inv_many,
 )
+from seqloc.geometry import _matrix_quat, _q_coefficients
 
 import se3_oracle
 from conftest import random_pose, random_quaternion
@@ -258,6 +259,19 @@ def test_jacobian_kernels_match_scalar(taus):
         assert_close(A[k], se3_oracle.adjoint(T))
 
 
+# Both sides of the Q series' former switch at 1e-4, of the new one at 1.0, and
+# the range in between where the closed forms cancel.
+Q_ANGLES = [0.0, 1e-6, 5e-5, 1.0001e-4, 2e-4, 5e-3, 2e-2, 0.3, 0.999, 1.0, 1.001, 2.0, 3.1]
+
+
+def test_q_coefficients_match_high_precision():
+    got = np.array(_q_coefficients(np.array(Q_ANGLES)))
+    for k, theta in enumerate(Q_ANGLES):
+        want = np.array(se3_oracle.q_coefficients(theta))
+        np.testing.assert_allclose(got[:, k], want, rtol=1e-12, atol=0)
+    assert se3_oracle.q_coefficients(5e-5)[1] < -0.0416  # c2 tends to -1/24
+
+
 @kernel_property
 @given(
     taus=tangent_batches,
@@ -373,6 +387,23 @@ class TestProject:
                 continue
             assert np.abs(pix[i] - p).max() <= 1e-12 * max(1.0, np.abs(p).max())
             assert np.abs(J[i] - Ji).max() <= 1e-12 * max(1.0, np.abs(Ji).max())
+
+
+class TestPose:
+    def test_non_finite_translation_rejected(self):
+        for t in ([math.nan, 0, 0], [0, math.inf, 0], [0, 0, -math.inf]):
+            with pytest.raises(ValueError, match="not finite"):
+                Pose(Quaternion.identity(), t)
+            with pytest.raises(ValueError, match="not finite"):
+                Pose.from_array7([1, 0, 0, 0, *t])
+
+    def test_batched_matrix_to_quaternion_matches_scalar(self, rng):
+        # Random rotations, then one per branch: trace, x, y and z largest.
+        qs = [random_quaternion(rng) for _ in range(200)]
+        qs += [Quaternion(1, 0.1, 0, 0), Quaternion(0, 1, 0.2, 0), Quaternion(0, 0.2, 1, 0), Quaternion(0, 0, 0.2, 1)]
+        got = _matrix_quat(np.array([q.matrix for q in qs]))
+        for k, q in enumerate(qs):
+            assert_quaternion_close(got[k], Quaternion.from_matrix(q.matrix))
 
 
 class TestQuaternion:

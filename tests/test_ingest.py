@@ -246,6 +246,15 @@ class TestLoadErrors:
             edit_cell(path, 1, col, original)
         load_dataset(tmp_path)
 
+    def test_nan_translation(self, rng, tmp_path):
+        seq, refs = make_dataset(rng)
+        save_dataset(tmp_path, seq, refs)
+        for col in (6, 7, 8):  # tx, ty, tz of frame q0002
+            original = edit_cell(tmp_path / "queries" / "poses.csv", 3, col, "nan")
+            with pytest.raises(DatasetError, match=r"queries/poses\.csv:4\]"):
+                load_dataset(tmp_path)
+            edit_cell(tmp_path / "queries" / "poses.csv", 3, col, original)
+
     def test_malformed_intrinsics_row(self, rng, tmp_path):
         seq, refs = make_dataset(rng)
         save_dataset(tmp_path, seq, refs)

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import p3p_oracle
 import seqloc.pose_estimation as pe
 from seqloc.geometry import (
     CameraIntrinsics,
@@ -12,6 +15,7 @@ from seqloc.geometry import (
     Quaternion,
     boxplus,
     project,
+    project_points,
     project_with_jacobian,
 )
 from seqloc.pose_estimation import (
@@ -43,42 +47,99 @@ def project_all(T, X):
     return np.array([project(K, T, x) for x in X])
 
 
+def solutions(result, sample: int) -> list[Pose]:
+    """The poses p3p returned for one sample of its block."""
+    q, t, idx = result
+    return [Pose(Quaternion(*q[k]), t[k]) for k in np.flatnonzero(idx == sample)]
+
+
+def no_solutions():
+    return np.empty((0, 4)), np.empty((0, 3)), np.empty(0, dtype=int)
+
+
 class TestP3P:
     def test_recovers_known_pose(self, rng):
-        for _ in range(100):
-            T = random_camera(rng)
-            X = scene_in_front(rng, T, 3)
-            pix = project_all(T, X)
-            sols = p3p(X, pix, K)
-            assert any(s.allclose(T, atol=1e-9) for s in sols)
+        Ts = [random_camera(rng) for _ in range(100)]
+        X = np.array([scene_in_front(rng, T, 3) for T in Ts])
+        pix = np.array([project_all(T, x) for T, x in zip(Ts, X)])
+        result = p3p(X, pix, K)
+        for s, T in enumerate(Ts):
+            assert any(sol.allclose(T, atol=1e-9) for sol in solutions(result, s))
 
     def test_collinear_rejected(self):
         X = np.array([[0, 0, 4.0], [0.1, 0, 4.0], [0.2, 0, 4.0]])
         pix = np.array([[320, 240.0], [332.5, 240.0], [345, 240.0]])
-        assert p3p(X, pix, K) == []
+        for q in p3p(X, pix, K):
+            assert len(q) == 0
 
     def test_all_solutions_reproject_exactly(self, rng):
         # points on a unit-sphere sector in front of an identity camera
+        X = []
         for _ in range(50):
             dirs = rng.normal(size=(3, 3))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             dirs[:, 2] = np.abs(dirs[:, 2]) + 0.5
-            X = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-            pix = project_all(Pose.identity(), X)
-            if np.isnan(pix).any():
-                continue
-            for s in p3p(X, pix, K):
+            X.append(dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
+        X = np.array(X)
+        pix = np.array([project_all(Pose.identity(), x) for x in X])
+        result = p3p(X, pix, K)
+        assert len(result[0]) >= 50
+        for s in range(len(X)):
+            for sol in solutions(result, s):
                 for i in range(3):
-                    assert np.linalg.norm(project(K, s, X[i]) - pix[i]) < 1e-6
+                    assert np.linalg.norm(project(K, sol, X[s, i]) - pix[s, i]) < 1e-6
+
+    def test_matches_grunert_oracle(self, rng):
+        # 200 triples, 10 of them near-collinear, then 105 degenerate ones. On
+        # near-collinear triples the pose from Lambda Twist's depths alone is
+        # off by up to 1e-6; the polish brings it within 1e-10 of the oracle.
+        X, pix = [], []
+        while len(X) < 200:
+            T = random_camera(rng)
+            cam = np.column_stack([rng.uniform(-1, 1, 3), rng.uniform(-0.7, 0.7, 3), rng.uniform(2, 6, 3)])
+            if len(X) < 10:
+                d = cam[1] - cam[0]
+                cam[2] = cam[0] + 1.7 * d + rng.normal(size=3) * 5e-3 * np.linalg.norm(d)
+            x = T.inverse().apply_many(cam)
+            p, depth = project_points(K, T, x)
+            if (depth > 0.1).all():
+                X.append(x)
+                pix.append(p)
+        line = np.array([[0, 0, 4.0], [0.1, 0, 4.0], [0.3, 0, 4.0]])
+        slanted = np.array([0.1, -0.2, 4.0]) + np.outer([0.0, 0.37, 1.1], [0.3, 0.2, 0.9])
+        X += [line, line[[0, 0, 1]], line[[2, 2, 2]], line[[0, 1, 1]] + [0, 0.1, 0], slanted]
+        for _ in range(100):  # collinear to 1e-12 of their span: degenerate as well
+            along = np.outer(rng.uniform(-1, 1, 3), rng.normal(size=3))
+            X.append(slanted[0] + along + rng.normal(size=(3, 3)) * 1e-12)
+        pix += [project_all(Pose.identity(), x) for x in X[200:]]
+        result = p3p(np.array(X), np.array(pix), K)
+        found = 0
+        for s in range(200):
+            mine = [sol.as_array7() for sol in solutions(result, s)]
+            for ref in p3p_oracle.p3p(X[s], pix[s], K):
+                assert min(np.abs(m - ref.as_array7()).max() for m in mine) < 1e-9
+                found += 1
+        assert found >= 200
+        assert (result[2] < 200).all()
 
     def test_polish_non_finite_step_returns_none(self, rng, monkeypatch):
         T = random_camera(rng)
         X = scene_in_front(rng, T, 3)
         pix = project_all(T, X)
-        T0 = boxplus(T, [0.01, 0, 0, 0, 0.01, 0])
-        assert pe._polish_minimal(T0, X, pix, K) is not None
-        monkeypatch.setattr(np.linalg, "solve", lambda A, b: np.full(6, np.nan))
-        assert pe._polish_minimal(T0, X, pix, K) is None
+        assert any(sol.allclose(T, atol=1e-9) for sol in solutions(p3p(X, pix, K), 0))
+        monkeypatch.setattr(np.linalg, "solve", lambda A, b: np.full(b.shape, np.nan))
+        assert len(p3p(X, pix, K)[0]) == 0
+
+    def test_singular_polish_keeps_block_unpolished(self, rng, monkeypatch):
+        T = random_camera(rng)
+        X = scene_in_front(rng, T, 3)
+        pix = project_all(T, X)
+
+        def singular(A, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        assert any(sol.allclose(T, atol=1e-6) for sol in solutions(p3p(X, pix, K), 0))
 
 
 class TestDLT:
@@ -290,9 +351,112 @@ class TestLoRansac:
 
     def test_dlt_fallback_when_p3p_degenerates(self, rng, monkeypatch):
         T, X, pix = self._clean(rng, n=15)
-        monkeypatch.setattr(pe, "p3p", lambda *a, **k: [])
+        monkeypatch.setattr(pe, "p3p", lambda *a, **k: no_solutions())
         est = lo_ransac_pnp(
             "f", X, pix, np.zeros(15, dtype=int), [CameraView(K)], seed=0, max_iters=50
         )
         assert est.status is PoseStatus.LOCALIZED
         assert est.pose.allclose(T, atol=1e-6)
+
+
+def loop_errors(q, t, points, pixels, cam_idx, views):
+    """Oracle: the batched scorer's (H,N) errors, hypothesis by hypothesis, view by view."""
+    out = np.full((len(q), len(points)), np.inf)
+    for h in range(len(q)):
+        T = Pose(Quaternion(*q[h]), t[h])
+        for c, view in enumerate(views):
+            W = view.T_cam_from_global.compose(T)
+            for i in np.flatnonzero(cam_idx == c):
+                p = project(view.K, W, points[i])
+                if p is not None:
+                    out[h, i] = np.linalg.norm(p - pixels[i])
+    return out
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    n_views=st.integers(1, 4),
+    n_poses=st.integers(1, 6),
+    n_points=st.integers(0, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_scorer_matches_loop(n_views, n_poses, n_points, seed):
+    rng = np.random.default_rng(seed)
+    views = [CameraView(K, random_camera(rng)) for _ in range(n_views)]
+    poses = [random_camera(rng) for _ in range(n_poses)]
+    q = np.array([T.rotation.wxyz for T in poses])
+    t = np.array([T.translation for T in poses])
+    # Every view may be left empty; points spread on both sides of the cameras.
+    cam_idx = rng.integers(0, n_views, n_points)
+    points = rng.normal(scale=3.0, size=(n_points, 3))
+    pixels = rng.uniform(0, 640, size=(n_points, 2))
+    got = pe._errors(q, t, pe._observations(points, pixels, cam_idx, views))
+    want = loop_errors(q, t, points, pixels, cam_idx, views)
+    np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-9, atol=1e-9)
+    for h, T in enumerate(poses):
+        np.testing.assert_array_equal(reprojection_errors(T, points, pixels, cam_idx, views), got[h])
+
+
+def seeded_scene(seed: int):
+    """One or two views of 20-40 correspondences each, 0-40% of them outliers."""
+    rng = np.random.default_rng(seed)
+    T_true = random_camera(rng)
+    views = [CameraView(K, random_camera(rng)) for _ in range(1 + seed % 2)]
+    pts, pix, ci = [], [], []
+    for c, view in enumerate(views):
+        W = view.T_cam_from_global.compose(T_true)
+        X = scene_in_front(rng, W, int(rng.integers(20, 40)))
+        pts.append(X)
+        pix.append(np.array([project(K, W, x) for x in X]) + rng.normal(scale=0.5, size=(len(X), 2)))
+        ci += [c] * len(X)
+    pts, pix, ci = np.vstack(pts), np.vstack(pix), np.array(ci)
+    out = rng.permutation(len(pts))[: int(0.1 * (seed % 5) * len(pts))]
+    pix[out] += rng.uniform(20, 150, (len(out), 2)) * rng.choice([-1, 1], (len(out), 2))
+    return pts, pix, ci, views
+
+
+def test_lo_ransac_bit_identical_across_calls():
+    for seed in range(25):
+        pts, pix, ci, views = seeded_scene(seed)
+        a, b = (lo_ransac_pnp("f", pts, pix, ci, views, seed=seed) for _ in range(2))
+        assert a.status is PoseStatus.LOCALIZED
+        assert a.pose.as_array7().tobytes() == b.pose.as_array7().tobytes()
+        np.testing.assert_array_equal(a.inlier_mask, b.inlier_mask)
+        assert a.iterations == b.iterations
+        assert a.inlier_history == b.inlier_history
+        assert all(x <= y for x, y in zip(a.inlier_history, a.inlier_history[1:]))
+
+
+class TestBlocks:
+    def _count_refines(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return refine_pose(*args, **kwargs)
+
+        monkeypatch.setattr(pe, "refine_pose", counted)
+        return calls
+
+    def test_lo_only_when_count_rises(self, rng, monkeypatch):
+        # The first block finds every inlier. The LO round cannot raise the
+        # count; its lower RMS makes it the model, but no second round runs.
+        # The final refinement is the only other call.
+        calls = self._count_refines(monkeypatch)
+        T, X, pix = TestLoRansac()._clean(rng, n=30)
+        pix += rng.normal(scale=0.3, size=pix.shape)
+        est = lo_ransac_pnp("f", X, pix, np.zeros(30, dtype=int), [CameraView(K)], seed=0)
+        assert est.inlier_history[:2] == [30, 30]
+        assert calls == [30, 30]
+        assert est.iterations == pe.BLOCK
+
+    @pytest.mark.parametrize("max_iters", [1, 5, 8, 13])
+    def test_iterations_whole_blocks_up_to_max_iters(self, rng, max_iters):
+        T, X, pix = TestLoRansac()._clean(rng, n=40)
+        pix[:24] += rng.uniform(20, 150, (24, 2))  # 60% outliers: the stop never comes
+        est = lo_ransac_pnp(
+            "f", X, pix, np.zeros(40, dtype=int), [CameraView(K)], seed=3, max_iters=max_iters,
+        )
+        assert est.iterations == max_iters

@@ -196,10 +196,6 @@ class CameraIntrinsics:
     def K(self) -> np.ndarray:
         return np.array([[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]])
 
-    def contains(self, pix) -> bool:
-        u, v = float(pix[0]), float(pix[1])
-        return 0.0 <= u < self.width and 0.0 <= v < self.height
-
 
 @dataclass(frozen=True)
 class Pose:
@@ -367,20 +363,24 @@ def _quat_multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     )
 
 
+def _quat_coefficients() -> np.ndarray:
+    """(16,9) C with Quaternion.matrix = (q q^T) C + I: row 4a+b holds q_a q_b's coefficients."""
+    entries = ("-yy -zz", "+xy -wz", "+xz +wy", "+xy +wz", "-xx -zz", "+yz -wx", "+xz -wy", "+yz +wx", "-xx -yy")
+    C = np.zeros((16, 9))
+    for k, terms in enumerate(entries):
+        for sign, a, b in terms.split():
+            C[4 * "wxyz".index(a) + "wxyz".index(b), k] = 2.0 if sign == "+" else -2.0
+    return C
+
+
+_QUAT_COEFFICIENTS, _EYE9 = _quat_coefficients(), np.eye(3).reshape(9)
+
+
 def _quat_matrix(q: np.ndarray) -> np.ndarray:
-    """(N,4) -> (N,3,3) rotation matrices, Quaternion.matrix row by row."""
-    w, x, y, z = q.T
-    R = np.empty((len(q), 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    R[:, 0, 1] = 2 * (x * y - w * z)
-    R[:, 0, 2] = 2 * (x * z + w * y)
-    R[:, 1, 0] = 2 * (x * y + w * z)
-    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    R[:, 1, 2] = 2 * (y * z - w * x)
-    R[:, 2, 0] = 2 * (x * z - w * y)
-    R[:, 2, 1] = 2 * (y * z + w * x)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return R
+    """(N,4) -> (N,3,3) rotation matrices, (q q^T) C + I: each entry adds two exact
+    doubled products, so it equals Quaternion.matrix bit for bit."""
+    qq = (q[:, :, None] * q[:, None, :]).reshape(len(q), 16)
+    return (qq @ _QUAT_COEFFICIENTS + _EYE9).reshape(len(q), 3, 3)
 
 
 def _matrix_quat(R: np.ndarray) -> np.ndarray:

@@ -167,19 +167,16 @@ def p3p(points3d, pixels, K: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray, 
 
 def dlt_pnp(points3d, pixels, K: CameraIntrinsics) -> Pose | None:
     """>= 6-point linear PnP fallback: homogeneous DLT, SO(3) projection."""
-    pts = np.asarray(points3d, dtype=float)
-    pix = np.asarray(pixels, dtype=float)
+    pts, pix = np.asarray(points3d, dtype=float), np.asarray(pixels, dtype=float)
     n = len(pts)
     if n < 6:
         return None
     xn = np.column_stack([(pix[:, 0] - K.cx) / K.fx, (pix[:, 1] - K.cy) / K.fy])
     X = np.column_stack([pts, np.ones(n)])
-    A = np.zeros((2 * n, 12))
-    A[0::2, 0:4] = X
-    A[0::2, 8:12] = -xn[:, :1] * X
-    A[1::2, 4:8] = X
-    A[1::2, 8:12] = -xn[:, 1:] * X
-    _, _, vt = np.linalg.svd(A)
+    A = np.zeros((n, 2, 12))  # rows 2i and 2i+1: point i's u and v equations
+    A[:, 0, 0:4] = A[:, 1, 4:8] = X
+    A[:, :, 8:12] = -xn[:, :, None] * X[:, None]
+    _, _, vt = np.linalg.svd(A.reshape(2 * n, 12))
     P = vt[-1].reshape(3, 4)
     # fix sign by cheirality of the centroid
     if (P @ np.append(pts.mean(axis=0), 1.0))[2] < 0:
@@ -222,9 +219,8 @@ def _observations(points, pixels, cam_idx, views: list[CameraView]) -> _Observat
 
 
 def _transform(R: np.ndarray, t: np.ndarray, P) -> list[np.ndarray]:
-    """R P + t as three components, from P's three components; R (...,3,3) and
-    t (...,3) broadcast against them. Elementwise, so that each entry is the
-    same sum whatever the shapes."""
+    """R P + t as three components, from P's three components; R (...,3,3) and t (...,3)
+    broadcast against them. Elementwise, so that each entry is the same sum whatever the shapes."""
     return [R[..., k, 0] * P[0] + R[..., k, 1] * P[1] + R[..., k, 2] * P[2] + t[..., k] for k in range(3)]
 
 
@@ -251,30 +247,34 @@ def reprojection_errors(
 
 def refine_pose(
     T0: Pose, points: np.ndarray, pixels: np.ndarray, cam_idx: np.ndarray, views: list[CameraView],
-    huber_px: float = 2.0, max_iters: int = 50, tol: float = 1e-12,
+    huber_px: float = 2.0, max_iters: int = 50, tol: float = 1e-6,
 ) -> Pose:
     """Robust Levenberg-Marquardt (seqloc.solver) on reprojection residuals,
     with the Huber kernel at huber_px on each residual's norm.
 
-    The cost is infinite while a point is behind its camera. The normal
-    equations come from one projection with Jacobians over all points, each
-    through its own view, points behind their camera left out, and
-    Huber-weighted sums by einsum. Returns the best iterate; warns instead of
-    raising when the iteration budget runs out before convergence.
+    Each trial projects all points once, with Jacobians, each through its own
+    view: the cost (inf while a point is behind its camera) and the in-front
+    rows' residuals, Jacobians and weights, which the normal equations sum.
+    It stops at a relative decrease below tol, the noise floor: the median
+    decrease of accepted steps 1 to 6 on seed-1 oracle_outliers (643 calls)
+    was 4.6e-2, 7.3e-4, 3.2e-6, 2.6e-8, 5e-10 and 1.7e-11, so past step 3 the
+    steps only polish rounding. The one rule serves LO, which only has to show
+    whether the inlier count rises (Lebeda, Matas & Chum, BMVC 2012), and the
+    final refinement. Returns the best iterate; warns when the iteration
+    budget runs out before convergence.
     """
     obs = _observations(points, pixels, cam_idx, views)
-    threshold = huber_px**2
 
-    def evaluate(T: Pose) -> tuple[float, None]:
-        e = _errors(*_arrays(T), obs)[0]
-        return float(huber(e**2, threshold)[0].sum()), None
-
-    def normal_equations(T: Pose, _) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate(T: Pose) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         R = obs.R @ T.rotation.matrix  # R(cam<-solve) through each point's view
         pc = np.einsum("nij,nj->ni", R, obs.X) + obs.R @ T.translation + obs.t
         p, J, ok = project_many_with_jacobian(R, pc, obs.X, obs.f, obs.c)
-        r, J = p[ok] - obs.x[ok], J[ok]
-        w = huber((r * r).sum(axis=1), threshold)[1]
+        r = p[ok] - obs.x[ok]
+        rho, w = huber((r * r).sum(axis=1), huber_px**2)
+        return (float(rho.sum()) if ok.all() else math.inf), (r, J[ok], w)
+
+    def normal_equations(T: Pose, state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        r, J, w = state
         H = np.einsum("n,nij,nik->jk", w, J, J)
         g = np.einsum("n,nij,ni->j", w, J, r)
         return H[None], np.empty((0, 6, 6)), g[None]  # one block
@@ -329,7 +329,7 @@ def lo_ransac_pnp(
 
     rng = np.random.default_rng(seed)
     best_pose, best_mask, best_count, best_rms = None, np.zeros(n, dtype=bool), 0, math.inf
-    history: list[int] = []
+    history, refined_from = [], None  # the counts adopted; the model the last refinement started from
 
     def consider(q: np.ndarray, t: np.ndarray) -> bool:
         """Adopt the best of the poses if it beats the model; True if the count rose."""
@@ -349,7 +349,8 @@ def lo_ransac_pnp(
         return rose
 
     def refine_on_inliers() -> Pose:
-        m = best_mask
+        nonlocal refined_from
+        m, refined_from = best_mask, best_pose
         return refine_pose(best_pose, points[m], pixels[m], cam_idx[m], views, huber_px=huber_px)
 
     needed, it = max_iters, 0
@@ -367,13 +368,12 @@ def lo_ransac_pnp(
             log_miss = math.log(max(1e-12, 1.0 - confidence))
             needed = it if w3 >= 1.0 else min(max_iters, math.ceil(log_miss / math.log(1.0 - w3)))
 
-    if best_pose is None:
-        # every sampled triple was degenerate: linear fallback on the main camera
+    if best_pose is None:  # every sampled triple was degenerate: linear fallback on the main camera
         T_lin = dlt_pnp(points[main_sel], pixels[main_sel], K_main)
         if T_lin is not None:
             consider(*_arrays(T_global_from_cam.compose(T_lin)))
 
-    if best_count >= 3:
+    if best_count >= 3 and best_pose is not refined_from:  # else it would repeat a rejected refinement
         consider(*_arrays(refine_on_inliers()))
 
     status = PoseStatus.LOCALIZED if best_count >= min_inliers else PoseStatus.REJECTED_FEW_INLIERS

@@ -29,3 +29,8 @@ def block_tridiagonal_dense(D: np.ndarray, C: np.ndarray) -> np.ndarray:
         A[k * b : (k + 1) * b, (k + 1) * b : (k + 2) * b] = C[k]
         A[(k + 1) * b : (k + 2) * b, k * b : (k + 1) * b] = C[k].T
     return A
+
+
+def in_image(K, pix) -> bool:
+    """Whether a pixel lies inside K's width x height image."""
+    return 0.0 <= pix[0] < K.width and 0.0 <= pix[1] < K.height

@@ -29,7 +29,7 @@ from seqloc.geometry import (
     se3_log_many,
     se3_right_jacobian_inv_many,
 )
-from seqloc.geometry import _matrix_quat, _q_coefficients
+from seqloc.geometry import _matrix_quat, _q_coefficients, _quat_matrix
 
 import se3_oracle
 from conftest import random_pose, random_quaternion
@@ -257,6 +257,34 @@ def test_jacobian_kernels_match_scalar(taus):
     for k, T in enumerate(poses):
         assert_close(J[k], se3_oracle.se3_right_jacobian_inv(taus[k]))
         assert_close(A[k], se3_oracle.adjoint(T))
+
+
+def stored_quaternion(v: np.ndarray, kind: str, eps: float) -> Quaternion:
+    """A Quaternion of one of three kinds: canonical (normalized, w >= 0), unit
+    to 1e-13 and so left unnormalized, or with w = 0 (a half-turn)."""
+    if kind == "w0":
+        v = np.array([0.0, *v[1:]])
+    assume(np.linalg.norm(v) > 1e-6)
+    q = Quaternion(*v)
+    if kind == "near_unit":
+        scaled = q.wxyz * (1.0 + eps)
+        q = Quaternion(*scaled)
+        assert np.array_equal(q.wxyz, scaled)  # kept as given
+    return q
+
+
+@kernel_property
+@given(
+    draws=st.lists(
+        st.tuples(vectors(4, 1.0), st.sampled_from(["canonical", "near_unit", "w0"]), st.floats(-9e-14, 9e-14)),
+        min_size=1, max_size=8,
+    )
+)
+def test_quat_matrix_kernel_equals_scalar(draws):
+    qs = [stored_quaternion(*d) for d in draws]
+    R = _quat_matrix(np.array([q.wxyz for q in qs]))
+    for k, q in enumerate(qs):
+        assert (R[k] == q.matrix).all()
 
 
 # Both sides of the Q series' former switch at 1e-4, of the new one at 1.0, and

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import in_image
 import p3p_oracle
 import seqloc.pose_estimation as pe
 from seqloc.geometry import (
@@ -259,11 +260,44 @@ class TestRefine:
         T0, X, pix, ci, views = self._rig_problem(rng)
         assert np.isinf(reprojection_errors(T0, X, pix, ci, views)[-3:]).all()
         for max_iters in (1, 3, 50):
-            got = refine_pose(T0, X, pix, ci, views, max_iters=max_iters)
-            want = scalar_refine(T0, X, pix, ci, views, max_iters=max_iters)
+            got = refine_pose(T0, X, pix, ci, views, max_iters=max_iters, tol=1e-12)
+            want = scalar_refine(T0, X, pix, ci, views, max_iters=max_iters, tol=1e-12)
             assert not got.allclose(T0, atol=1e-6)
             np.testing.assert_allclose(got.as_array7(), want.as_array7(), rtol=0, atol=1e-9)
         assert np.isfinite(reprojection_errors(got, X, pix, ci, views)).all()
+
+    def test_default_tol_near_strict(self):
+        # The default stops at the noise floor; the pose stays within a few
+        # micrometres of the run to a relative decrease of 1e-12.
+        for seed in range(30):
+            T0, X, pix, ci, views = self._rig_problem(np.random.default_rng(seed))
+            got = refine_pose(T0, X, pix, ci, views)
+            want = refine_pose(T0, X, pix, ci, views, tol=1e-12)
+            assert np.abs(got.translation - want.translation).max() <= 1e-5
+            assert np.abs(got.rotation.wxyz - want.rotation.wxyz).max() <= 1e-6
+
+    def test_step_behind_camera_rejected(self, rng, monkeypatch):
+        # One far outlier sits 1 m in front of the camera at T0 and 0.3 m behind
+        # it at the truth, towards which the other 40 points pull. Trials that put
+        # it behind cost inf and are rejected.
+        T, X, pix, ci, views = self._problem(rng, n=40)
+        T0 = boxplus(T, [0.1, -0.05, 0.3, 0.02, 0.0, math.radians(3.0)])
+        A = np.array([T0.rotation.matrix[2], T.rotation.matrix[2]])
+        b = np.array([1.0 - T0.translation[2], -0.3 - T.translation[2]])
+        Xb = np.linalg.lstsq(A, b, rcond=None)[0]
+        X, pix, ci = np.vstack([X, Xb]), np.vstack([pix, project(K, T0, Xb) + 1e5]), np.append(ci, 0)
+        project_many, in_front = pe.project_many_with_jacobian, []
+
+        def spy(*args):
+            out = project_many(*args)
+            in_front.append(bool(out[2].all()))
+            return out
+
+        monkeypatch.setattr(pe, "project_many_with_jacobian", spy)
+        out = refine_pose(T0, X, pix, ci, views)
+        assert in_front[0] and not all(in_front)
+        assert not out.allclose(T0, atol=1e-3)
+        assert np.isfinite(reprojection_errors(out, X, pix, ci, views)).all()
 
 
 class TestLoRansac:
@@ -339,7 +373,7 @@ class TestLoRansac:
             X_local = scene_in_front(rng, W, 15)
             for x in X_local:
                 p = project(K, W, x)
-                if p is not None and K.contains(p):
+                if p is not None and in_image(K, p):
                     pts_local.append(x)
                     pixels.append(p)
                     cam_idx.append(c)
@@ -450,6 +484,24 @@ class TestBlocks:
         est = lo_ransac_pnp("f", X, pix, np.zeros(30, dtype=int), [CameraView(K)], seed=0)
         assert est.inlier_history[:2] == [30, 30]
         assert calls == [30, 30]
+        assert est.iterations == pe.BLOCK
+
+    def test_final_refinement_skipped_after_a_rejected_one(self, rng, monkeypatch):
+        # A refinement that returns its start is never adopted. The final one
+        # would start from the same model and inliers and repeat it, so it does
+        # not run.
+        calls = []
+
+        def stays(T0, points, *args, **kwargs):
+            calls.append(len(points))
+            return T0
+
+        monkeypatch.setattr(pe, "refine_pose", stays)
+        T, X, pix = TestLoRansac()._clean(rng, n=30)
+        pix += rng.normal(scale=0.3, size=pix.shape)
+        est = lo_ransac_pnp("f", X, pix, np.zeros(30, dtype=int), [CameraView(K)], seed=0)
+        assert est.inlier_history == [30]
+        assert calls == [30]
         assert est.iterations == pe.BLOCK
 
     @pytest.mark.parametrize("max_iters", [1, 5, 8, 13])

@@ -22,7 +22,7 @@ from seqloc.triangulation import (
     triangulate_pair,
 )
 
-from conftest import random_pose
+from conftest import in_image, random_pose
 
 K = CameraIntrinsics(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
 DEG = math.pi / 180.0
@@ -210,7 +210,7 @@ class TestTriangulatePair:
             X = T_a.apply(X_cam)
             pa = project(K, T_a.inverse(), X)
             pb = project(K, T_b.inverse(), X)
-            if pa is None or pb is None or not (K.contains(pa) and K.contains(pb)):
+            if pa is None or pb is None or not (in_image(K, pa) and in_image(K, pb)):
                 continue
             res = triangulate_pair(T_a, T_b, K, K, pa, pb)
             assert res.ok
@@ -333,7 +333,7 @@ class TestAccpetedPointsProperties:
         for X in pts:
             pa = project(K, T_a.inverse(), X)
             pb = project(K, T_b.inverse(), X)
-            if pa is None or pb is None or not (K.contains(pa) and K.contains(pb)):
+            if pa is None or pb is None or not (in_image(K, pa) and in_image(K, pb)):
                 continue
             res = triangulate_pair(T_a, T_b, K, K, pa, pb)
             if res.ok:

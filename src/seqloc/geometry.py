@@ -6,6 +6,18 @@ Conventions used everywhere in this package:
   - Tangent vectors are 6-vectors [rho (m), phi (rad)], translation first.
   - Manifold updates are right-multiplicative: T * Exp(delta).
   - Camera frame: +z forward, +x right, +y down (pinhole, undistorted).
+
+One implementation per map: Exp and Log, V and V^-1, compose and inverse,
+matrix <-> quaternion, the adjoint and projection with its Jacobian are batched
+kernels over (N, ...) arrays; Pose and Quaternion are the value types at the
+boundary. The exceptions are the scalar twins of the per-frame N = 1 path,
+where a numpy call per row costs more than the arithmetic (timings on one Xeon
+core). Tests pin each twin to its kernel.
+  - boxplus, se3_exp, _so3_V, _skew, Quaternion.from_rotvec: refine_pose
+    retracts one pose per Levenberg-Marquardt trial, about 10 per frame; a
+    one-row compose_many(*se3_exp_many(.)) takes 184 us to boxplus's 39.
+  - Quaternion.matrix: 7.6 us as a one-row _quat_matrix against 4.7 us.
+  - Pose.compose, Pose.inverse and Quaternion.__mul__.
 """
 
 from __future__ import annotations
@@ -89,34 +101,11 @@ class Quaternion:
 
     @staticmethod
     def from_matrix(R) -> "Quaternion":
-        """Shepperd's method, max-trace branch for stability."""
-        R = np.asarray(R, dtype=float)
-        t = np.trace(R)
-        if t > 0.0:
-            s = math.sqrt(t + 1.0) * 2.0
-            w = 0.25 * s
-            x = (R[2, 1] - R[1, 2]) / s
-            y = (R[0, 2] - R[2, 0]) / s
-            z = (R[1, 0] - R[0, 1]) / s
-        elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-            s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-            w = (R[2, 1] - R[1, 2]) / s
-            x = 0.25 * s
-            y = (R[0, 1] + R[1, 0]) / s
-            z = (R[0, 2] + R[2, 0]) / s
-        elif R[1, 1] >= R[2, 2]:
-            s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-            w = (R[0, 2] - R[2, 0]) / s
-            x = (R[0, 1] + R[1, 0]) / s
-            y = 0.25 * s
-            z = (R[1, 2] + R[2, 1]) / s
-        else:
-            s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-            w = (R[1, 0] - R[0, 1]) / s
-            x = (R[0, 2] + R[2, 0]) / s
-            y = (R[1, 2] + R[2, 1]) / s
-            z = 0.25 * s
-        return Quaternion(w, x, y, z)
+        """Shepperd's method, max-trace branch for stability (_matrix_quat)."""
+        R = np.asarray(R, dtype=float).reshape(1, 3, 3)
+        if not np.isfinite(R).all():
+            raise ValueError("rotation matrix not finite")
+        return Quaternion(*_matrix_quat(R)[0])
 
     @property
     def wxyz(self) -> np.ndarray:
@@ -157,17 +146,6 @@ class Quaternion:
         s = math.sqrt(self.x**2 + self.y**2 + self.z**2)
         return 2.0 * math.atan2(s, abs(self.w))
 
-    def rotvec(self) -> np.ndarray:
-        xyz = np.array([self.x, self.y, self.z])
-        s = float(np.linalg.norm(xyz))
-        w = abs(self.w)
-        if s < 1e-9:
-            # theta/s -> 2/w for small s; second-order term keeps 1e-12 accuracy.
-            k = 2.0 / w * (1.0 - (s * s) / (3.0 * w * w))
-        else:
-            k = 2.0 * math.atan2(s, w) / s
-        return k * xyz
-
     def allclose(self, other: "Quaternion", atol: float = 1e-9) -> bool:
         return bool(
             np.allclose(self.wxyz, other.wxyz, atol=atol)
@@ -187,8 +165,10 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        if not all(math.isfinite(v) and v == int(v) for v in (self.width, self.height)):
+            raise ValueError("image width and height must be finite integers")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
@@ -264,11 +244,6 @@ class Pose:
         )
 
 
-def rotation_half_angle(q: Quaternion) -> float:
-    """atan2(||(x,y,z)||, |w|): half the geodesic angle, in [0, pi/2]."""
-    return math.atan2(math.sqrt(q.x**2 + q.y**2 + q.z**2), abs(q.w))
-
-
 # --- SO(3)/SE(3) tangent maps ------------------------------------------------
 
 
@@ -283,16 +258,6 @@ def _so3_V(phi: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * S + b * (S @ S)
 
 
-def _so3_V_inv(phi: np.ndarray) -> np.ndarray:
-    theta = float(np.linalg.norm(phi))
-    S = _skew(phi)
-    if theta < 1e-6:
-        return np.eye(3) - 0.5 * S + (S @ S) / 12.0
-    # c = (1 - theta/(2 tan(theta/2))) / theta^2, stable over (0, pi).
-    c = (1.0 - theta / (2.0 * math.tan(0.5 * theta))) / theta**2
-    return np.eye(3) - 0.5 * S + c * (S @ S)
-
-
 def se3_exp(tau) -> Pose:
     """Exp: 6-vector [rho, phi] -> Pose."""
     tau = np.asarray(tau, dtype=float).reshape(6)
@@ -301,34 +266,17 @@ def se3_exp(tau) -> Pose:
     return Pose(q, _so3_V(phi) @ rho)
 
 
-def se3_log(T: Pose) -> np.ndarray:
-    """Log: Pose -> 6-vector [rho, phi]; requires rotation angle < pi."""
-    phi = T.rotation.rotvec()
-    rho = _so3_V_inv(phi) @ T.translation
-    return np.concatenate([rho, phi])
-
-
 def boxplus(T: Pose, delta) -> Pose:
     """Right-multiplicative retraction T * Exp(delta)."""
     return T.compose(se3_exp(delta))
 
 
-def boxminus(a: Pose, b: Pose) -> np.ndarray:
-    """Local difference Log(b^-1 * a); boxplus(b, boxminus(a, b)) == a."""
-    rel = b.inverse().compose(a)
-    if rel.rotation.angle > math.pi - 1e-6:
-        raise RotationSingularity(
-            f"relative rotation {rel.rotation.angle:.6f} rad too close to pi"
-        )
-    return se3_log(rel)
-
-
 # --- Batched SE(3) kernels -------------------------------------------------------
 #
-# The maps above over N poses at once, array in, array out: (N,4) quaternions
-# (w, x, y, z), (N,3) translations and (N,6) tangents [rho, phi]. Each follows
-# its scalar counterpart, small-angle branches included, and a quaternion
-# result is normalized and sign-canonicalized by Quaternion's own rule.
+# Array in, array out over N poses: (N,4) quaternions (w, x, y, z), (N,3)
+# translations and (N,6) tangents [rho, phi]. A kernel with a scalar twin above
+# shares its small-angle branches, and a quaternion result is normalized and
+# sign-canonicalized by Quaternion's own rule.
 
 _I3 = np.eye(3)
 
@@ -384,22 +332,24 @@ def _quat_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def _matrix_quat(R: np.ndarray) -> np.ndarray:
-    """(N,3,3) rotation matrices -> (N,4) canonical quaternions, by
-    Quaternion.from_matrix's branches (Shepperd's method)."""
+    """(N,3,3) rotation matrices -> (N,4) canonical quaternions by Shepperd's
+    method: the branch of the largest of 4 q_k^2, the trace's when it is positive."""
+    n = np.arange(len(R))
     t = np.trace(R, axis1=1, axis2=2)
     d = np.diagonal(R, axis1=1, axis2=2)
-    a = R[:, [2, 0, 1], [1, 2, 0]] - R[:, [1, 2, 0], [2, 0, 1]]  # 4 w (x, y, z)
-    s = R[:, [0, 0, 1], [1, 2, 2]] + R[:, [1, 2, 2], [0, 0, 1]]  # 4 (xy, xz, yz)
-    # Row k is 4 q_k q; row 0 is the trace branch, rows 1-3 the diagonal ones.
-    M = np.empty((len(R), 4, 4))
-    M[:, 0, 0] = 1.0 + t
-    M[:, 0, 1:], M[:, 1:, 0] = a, a
-    M[:, [1, 2, 3], [1, 2, 3]] = 1.0 + 2.0 * d - t[:, None]
-    M[:, 1, 2], M[:, 1, 3], M[:, 2, 3] = s.T
-    M[:, 2, 1], M[:, 3, 1], M[:, 3, 2] = s.T
     k = np.where(t > 0.0, 0, 1 + np.argmax(d, axis=1))
-    row = M[np.arange(len(R)), k]
-    return _canonical(row / (2.0 * np.sqrt(row[np.arange(len(R)), k]))[:, None])
+    # s = 4 q_k: 2 sqrt(1 + t), or 2 sqrt(1 + R_ii - R_jj - R_kk) on branch i.
+    s = 2.0 * np.sqrt(np.column_stack([t + 1.0, 1.0 + d - d[:, [1, 0, 0]] - d[:, [2, 2, 1]]])[n, k])
+    a = R[:, [2, 0, 1], [1, 2, 0]] - R[:, [1, 2, 0], [2, 0, 1]]  # 4 w (x, y, z)
+    b = R[:, [0, 0, 1], [1, 2, 2]] + R[:, [1, 2, 2], [0, 0, 1]]  # 4 (xy, xz, yz)
+    # Off the diagonal, row k of M is 4 q_k q; q = M[k] / s with q_k = s / 4.
+    M = np.zeros((len(R), 4, 4))
+    M[:, 0, 1:], M[:, 1:, 0] = a, a
+    M[:, 1, 2], M[:, 1, 3], M[:, 2, 3] = b.T
+    M[:, 2, 1], M[:, 3, 1], M[:, 3, 2] = b.T
+    q = M[n, k] / s[:, None]
+    q[n, k] = 0.25 * s
+    return _canonical(q)
 
 
 def _rotate_many(R: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -423,7 +373,7 @@ def _norm_rows(v: np.ndarray) -> np.ndarray:
 
 
 def _so3_V_many(phi: np.ndarray) -> np.ndarray:
-    """_so3_V over (N,3) rotation vectors."""
+    """(N,3) -> (N,3,3) V(phi), the SO(3) left Jacobian: Exp([rho, phi]) translates by V rho."""
     theta = _norm_rows(phi)
     small = theta < 1e-6
     th = np.where(small, 1.0, theta)
@@ -434,10 +384,11 @@ def _so3_V_many(phi: np.ndarray) -> np.ndarray:
 
 
 def _so3_V_inv_many(phi: np.ndarray) -> np.ndarray:
-    """_so3_V_inv over (N,3) rotation vectors."""
+    """(N,3) rotation vectors -> (N,3,3) V(phi)^-1."""
     theta = _norm_rows(phi)
     small = theta < 1e-6
     th = np.where(small, 1.0, theta)
+    # c = (1 - theta/(2 tan(theta/2))) / theta^2, stable over (0, pi).
     c = np.where(small, 1.0 / 12.0, (1.0 - th / (2.0 * np.tan(0.5 * th))) / th**2)
     S = _skew_many(phi)
     return _I3 - 0.5 * S + c[:, None, None] * (S @ S)
@@ -466,10 +417,10 @@ def se3_exp_many(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def se3_log_many(q, t) -> np.ndarray:
-    """se3_log row by row -> (N,6) tangents.
+    """Log: (N,4) quaternions, (N,3) translations -> (N,6) tangents [rho, phi].
 
-    Raises RotationSingularity, as boxminus does, when any rotation angle is
-    above pi - 1e-6.
+    Raises RotationSingularity when any rotation angle is above pi - 1e-6,
+    where the log map is no longer unique to working precision.
     """
     xyz = q[:, 1:]
     s = _norm_rows(xyz)
@@ -480,7 +431,7 @@ def se3_log_many(q, t) -> np.ndarray:
     small = s < 1e-9
     ss = np.where(small, 1.0, s)
     # theta/s -> 2/w for small s; second-order term keeps 1e-12 accuracy.
-    k = np.where(small, 2.0 / w * (1.0 - (s * s) / (3.0 * w * w)), 2.0 * np.arctan2(ss, w) / ss)
+    k = np.where(small, 2.0 / w * (1.0 - (s * s) / (3.0 * w * w)), angle / ss)
     phi = k[:, None] * xyz
     return np.hstack([_rotate_many(_so3_V_inv_many(phi), t), phi])
 
@@ -550,78 +501,14 @@ def se3_right_jacobian_inv_many(tau: np.ndarray) -> np.ndarray:
 BEHIND_CAMERA_DEPTH = 1e-9
 
 
-def project(K: CameraIntrinsics, T_cam_from_world: Pose, point) -> np.ndarray | None:
-    """Project a world point; None when at or behind the camera plane."""
-    pc = T_cam_from_world.apply(point)
-    if pc[2] <= BEHIND_CAMERA_DEPTH:
-        return None
-    return np.array([K.fx * pc[0] / pc[2] + K.cx, K.fy * pc[1] / pc[2] + K.cy])
-
-
-def project_points(
-    K: CameraIntrinsics, T_cam_from_world: Pose, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection of (N,3) points -> ((N,2) pixels, (N,) depths).
-
-    Pixels of non-positive-depth points are filled with nan; check depths.
-    """
-    pc = T_cam_from_world.apply_many(np.asarray(points, dtype=float))
-    z = pc[:, 2]
-    valid = z > BEHIND_CAMERA_DEPTH
-    pix = np.full((len(pc), 2), np.nan)
-    zs = np.where(valid, z, 1.0)
-    pix[:, 0] = np.where(valid, K.fx * pc[:, 0] / zs + K.cx, np.nan)
-    pix[:, 1] = np.where(valid, K.fy * pc[:, 1] / zs + K.cy, np.nan)
-    return pix, z
-
-
-def project_with_jacobian(
-    K: CameraIntrinsics, T_cam_from_world: Pose, point
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Pixel and its 2x6 Jacobian w.r.t. a right perturbation T*Exp(delta).
-
-    Columns 0..2 are the translational tangent, 3..5 rotational.
-    """
-    X = np.asarray(point, dtype=float)
-    R = T_cam_from_world.rotation.matrix
-    pc = R @ X + T_cam_from_world.translation
-    z = pc[2]
-    if z <= BEHIND_CAMERA_DEPTH:
-        return None, None
-    pix = np.array([K.fx * pc[0] / z + K.cx, K.fy * pc[1] / z + K.cy])
-    J_pi = np.array(
-        [
-            [K.fx / z, 0.0, -K.fx * pc[0] / z**2],
-            [0.0, K.fy / z, -K.fy * pc[1] / z**2],
-        ]
-    )
-    J = np.hstack([J_pi @ R, -J_pi @ R @ _skew(X)])
-    return pix, J
-
-
-def project_points_with_jacobian(
-    K: CameraIntrinsics, T_cam_from_world: Pose, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized project_with_jacobian over (N,3) points.
-
-    Returns (N,2) pixels, (N,2,6) Jacobians w.r.t. a right perturbation
-    T*Exp(delta) and the (N,) mask of points in front of the camera
-    (depth > BEHIND_CAMERA_DEPTH). Rows outside the mask are finite but
-    meaningless.
-    """
-    X = np.asarray(points, dtype=float).reshape(-1, 3)
-    R = T_cam_from_world.rotation.matrix
-    pc = X @ R.T + T_cam_from_world.translation
-    return project_many_with_jacobian(R, pc, X, np.array([K.fx, K.fy]), np.array([K.cx, K.cy]))
-
-
 def project_many_with_jacobian(
     R: np.ndarray, pc: np.ndarray, X: np.ndarray, f: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """project_points_with_jacobian over stacks that broadcast together: points
-    X (...,3) whose camera-frame coordinates are pc = R X + t (...,3), for
-    T(cam<-world) rotations R (...,3,3), focal lengths f and principal points
-    c (...,2).
+    """Pixels (...,2), their (...,2,6) Jacobians w.r.t. a right perturbation
+    T*Exp(delta) and the (...) mask of depth > BEHIND_CAMERA_DEPTH (rows
+    outside it are finite but meaningless), for points X (...,3) with
+    camera-frame coordinates pc = R X + t (...,3), T(cam<-world) rotations R
+    (...,3,3), focal lengths f and principal points c (...,2), broadcasting.
     """
     valid = pc[..., 2] > BEHIND_CAMERA_DEPTH
     inv_z = 1.0 / np.where(valid, pc[..., 2], 1.0)

@@ -5,7 +5,7 @@ selected from the same sequence; shared keypoints are triangulated in the
 query odometry frame and joined with query-to-reference matches into 3D-2D
 correspondences. Triangulation is one batched kernel over all matches of a
 frame pair: a stacked 4x4 DLT, one Gauss-Newton reprojection step on the
-point Jacobian of geometry.project_points_with_jacobian, and the accept checks
+point Jacobian of geometry.project_many_with_jacobian, and the accept checks
 as whole-array masks (Hartley & Zisserman, Multiple View Geometry, 12.2).
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, project_points_with_jacobian, rotation_half_angle
+from .geometry import CameraIntrinsics, Pose, project_many_with_jacobian
 from .ingest import Frame
 from .matching import MatchSet
 
@@ -25,8 +25,8 @@ from .matching import MatchSet
 def select_neighbors(poses: list[Pose], t_min: float, theta_min_rad: float) -> list[int | None]:
     """First j > i whose relative displacement passes the threshold test.
 
-    The rotation test uses the quaternion half-angle of the relative rotation,
-    so theta_min is compared against half the geodesic angle. Frames with no
+    The rotation test compares theta_min against the quaternion half-angle of
+    the relative rotation, half its geodesic angle. Frames with no
     qualifying forward neighbor map to None and are skipped downstream.
     """
     n = len(poses)
@@ -37,7 +37,7 @@ def select_neighbors(poses: list[Pose], t_min: float, theta_min_rad: float) -> l
             rel = inv_i.compose(poses[j])
             if (
                 np.linalg.norm(rel.translation) >= t_min
-                or rotation_half_angle(rel.rotation) >= theta_min_rad
+                or rel.rotation.angle >= 2.0 * theta_min_rad
             ):
                 out[i] = j
                 break
@@ -91,9 +91,11 @@ _REJECTS = (None, Reject.DEGENERATE_RAYS, Reject.BEHIND_CAMERA,
 
 def _reproject(cams, pix, X):
     """(N,2,2) residuals and (N,4,3) point Jacobians J_pi R per view; in front of both."""
-    out = [project_points_with_jacobian(K, cam, X) for cam, K in cams]
-    r = np.stack([proj for proj, _, _ in out], axis=1) - pix
-    return r, np.concatenate([J[:, :, :3] for _, J, _ in out], axis=1), out[0][2] & out[1][2]
+    R = np.stack([cam.rotation.matrix for cam, _ in cams])
+    pc = np.stack([X @ cam.rotation.matrix.T + cam.translation for cam, _ in cams], axis=1)
+    f, c = np.array([[K.fx, K.fy] for _, K in cams]), np.array([[K.cx, K.cy] for _, K in cams])
+    proj, J, front = project_many_with_jacobian(R, pc, X[:, None], f, c)
+    return proj - pix, J[..., :3].reshape(-1, 4, 3), front.all(axis=1)
 
 
 def _triangulate(T_a, T_b, K_a, K_b, pix_a, pix_b, max_reproj_px, min_angle_deg):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from seqloc.geometry import CameraIntrinsics, Pose, boxplus, project_points_with_jacobian
+from seqloc.geometry import CameraIntrinsics, Pose, boxplus, project_many_with_jacobian
 
 
 def _bearings(pixels: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
@@ -99,9 +99,11 @@ def p3p(points3d, pixels, K: CameraIntrinsics) -> list[Pose]:
 
 def polish_minimal(T: Pose, pts, pix, K, iters: int = 10) -> Pose | None:
     """Gauss-Newton to machine precision on the exactly-determined 3-point system."""
+    f, c = np.array([K.fx, K.fy]), np.array([K.cx, K.cy])
     # The projection after the last step doubles as the closing error check.
     for step in range(iters + 1):
-        p, J, ok = project_points_with_jacobian(K, T, pts)
+        R = T.rotation.matrix
+        p, J, ok = project_many_with_jacobian(R, pts @ R.T + T.translation, pts, f, c)
         if not ok.all():
             return None
         r = p - pix

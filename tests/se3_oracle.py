@@ -1,10 +1,12 @@
-"""Scalar SE(3) Jacobians and pose-graph factors, one Pose at a time.
+"""Scalar SE(3) maps, projections and pose-graph factors, one Pose at a time.
 
 The batched kernels of seqloc.geometry and the array evaluation of
-seqloc.pgo replaced this code; the tests keep it as their reference. optimize
-here is pgo.optimize as it was: per-factor Pose arithmetic and one dense
-normal-equation solve, run by the same Levenberg-Marquardt loop with the
-whole Hessian as a single block.
+seqloc.pgo replaced this code; the tests keep it as their reference: the
+scalar Log (rotvec, so3_V_inv, se3_log, boxminus), Shepperd's
+matrix-to-quaternion conversion, pinhole projection with its Jacobian and the
+SE(3) Jacobians. optimize here is pgo.optimize as it was: per-factor Pose
+arithmetic and one dense normal-equation solve, run by the same
+Levenberg-Marquardt loop with the whole Hessian as a single block.
 """
 
 from __future__ import annotations
@@ -15,9 +17,129 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from seqloc.geometry import Pose, _skew, _so3_V_inv, boxminus, boxplus
+from seqloc.geometry import BEHIND_CAMERA_DEPTH, CameraIntrinsics, Pose, Quaternion, RotationSingularity
+from seqloc.geometry import _skew, boxplus
 from seqloc.pgo import HUBER_THRESHOLD, PgoReport, PoseGraph
 from seqloc.solver import huber, levenberg_marquardt
+
+
+def shepperd_quaternion(R) -> Quaternion:
+    """Shepperd's method, max-trace branch for stability."""
+    R = np.asarray(R, dtype=float)
+    t = np.trace(R)
+    if t > 0.0:
+        s = math.sqrt(t + 1.0) * 2.0
+        w = 0.25 * s
+        x = (R[2, 1] - R[1, 2]) / s
+        y = (R[0, 2] - R[2, 0]) / s
+        z = (R[1, 0] - R[0, 1]) / s
+    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
+        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        w = (R[2, 1] - R[1, 2]) / s
+        x = 0.25 * s
+        y = (R[0, 1] + R[1, 0]) / s
+        z = (R[0, 2] + R[2, 0]) / s
+    elif R[1, 1] >= R[2, 2]:
+        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+        w = (R[0, 2] - R[2, 0]) / s
+        x = (R[0, 1] + R[1, 0]) / s
+        y = 0.25 * s
+        z = (R[1, 2] + R[2, 1]) / s
+    else:
+        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+        w = (R[1, 0] - R[0, 1]) / s
+        x = (R[0, 2] + R[2, 0]) / s
+        y = (R[1, 2] + R[2, 1]) / s
+        z = 0.25 * s
+    return Quaternion(w, x, y, z)
+
+
+def rotvec(q: Quaternion) -> np.ndarray:
+    xyz = np.array([q.x, q.y, q.z])
+    s = float(np.linalg.norm(xyz))
+    w = abs(q.w)
+    if s < 1e-9:
+        # theta/s -> 2/w for small s; second-order term keeps 1e-12 accuracy.
+        k = 2.0 / w * (1.0 - (s * s) / (3.0 * w * w))
+    else:
+        k = 2.0 * math.atan2(s, w) / s
+    return k * xyz
+
+
+def so3_V_inv(phi: np.ndarray) -> np.ndarray:
+    theta = float(np.linalg.norm(phi))
+    S = _skew(phi)
+    if theta < 1e-6:
+        return np.eye(3) - 0.5 * S + (S @ S) / 12.0
+    # c = (1 - theta/(2 tan(theta/2))) / theta^2, stable over (0, pi).
+    c = (1.0 - theta / (2.0 * math.tan(0.5 * theta))) / theta**2
+    return np.eye(3) - 0.5 * S + c * (S @ S)
+
+
+def se3_log(T: Pose) -> np.ndarray:
+    """Log: Pose -> 6-vector [rho, phi]; requires rotation angle < pi."""
+    phi = rotvec(T.rotation)
+    rho = so3_V_inv(phi) @ T.translation
+    return np.concatenate([rho, phi])
+
+
+def boxminus(a: Pose, b: Pose) -> np.ndarray:
+    """Local difference Log(b^-1 * a); boxplus(b, boxminus(a, b)) == a."""
+    rel = b.inverse().compose(a)
+    if rel.rotation.angle > math.pi - 1e-6:
+        raise RotationSingularity(
+            f"relative rotation {rel.rotation.angle:.6f} rad too close to pi"
+        )
+    return se3_log(rel)
+
+
+def project(K: CameraIntrinsics, T_cam_from_world: Pose, point) -> np.ndarray | None:
+    """Project a world point; None when at or behind the camera plane."""
+    pc = T_cam_from_world.apply(point)
+    if pc[2] <= BEHIND_CAMERA_DEPTH:
+        return None
+    return np.array([K.fx * pc[0] / pc[2] + K.cx, K.fy * pc[1] / pc[2] + K.cy])
+
+
+def project_points(
+    K: CameraIntrinsics, T_cam_from_world: Pose, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized projection of (N,3) points -> ((N,2) pixels, (N,) depths).
+
+    Pixels of non-positive-depth points are filled with nan; check depths.
+    """
+    pc = T_cam_from_world.apply_many(np.asarray(points, dtype=float))
+    z = pc[:, 2]
+    valid = z > BEHIND_CAMERA_DEPTH
+    pix = np.full((len(pc), 2), np.nan)
+    zs = np.where(valid, z, 1.0)
+    pix[:, 0] = np.where(valid, K.fx * pc[:, 0] / zs + K.cx, np.nan)
+    pix[:, 1] = np.where(valid, K.fy * pc[:, 1] / zs + K.cy, np.nan)
+    return pix, z
+
+
+def project_with_jacobian(
+    K: CameraIntrinsics, T_cam_from_world: Pose, point
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Pixel and its 2x6 Jacobian w.r.t. a right perturbation T*Exp(delta).
+
+    Columns 0..2 are the translational tangent, 3..5 rotational.
+    """
+    X = np.asarray(point, dtype=float)
+    R = T_cam_from_world.rotation.matrix
+    pc = R @ X + T_cam_from_world.translation
+    z = pc[2]
+    if z <= BEHIND_CAMERA_DEPTH:
+        return None, None
+    pix = np.array([K.fx * pc[0] / z + K.cx, K.fy * pc[1] / z + K.cy])
+    J_pi = np.array(
+        [
+            [K.fx / z, 0.0, -K.fx * pc[0] / z**2],
+            [0.0, K.fy / z, -K.fy * pc[1] / z**2],
+        ]
+    )
+    J = np.hstack([J_pi @ R, -J_pi @ R @ _skew(X)])
+    return pix, J
 
 
 def adjoint(T: Pose) -> np.ndarray:
@@ -66,7 +188,7 @@ def se3_right_jacobian_inv(tau) -> np.ndarray:
     """
     tau = -np.asarray(tau, dtype=float).reshape(6)
     rho, phi = tau[:3], tau[3:]
-    Jinv = _so3_V_inv(phi)
+    Jinv = so3_V_inv(phi)
     Q = se3_Q(rho, phi)
     out = np.zeros((6, 6))
     out[:3, :3] = Jinv

@@ -1,4 +1,6 @@
-"""Geometry oracle tests: homogeneous-matrix and matrix-log cross-checks."""
+"""Geometry oracle tests: the batched kernels against homogeneous matrices, the
+matrix log and the scalar maps of se3_oracle, and the scalar twins against
+their kernels."""
 
 import math
 
@@ -14,25 +16,21 @@ from seqloc.geometry import (
     Quaternion,
     RotationSingularity,
     adjoint_many,
-    boxminus,
     boxplus,
     compose_many,
     inverse_many,
-    project,
-    project_points,
-    project_points_with_jacobian,
-    project_with_jacobian,
-    rotation_half_angle,
+    project_many_with_jacobian,
     se3_exp,
     se3_exp_many,
-    se3_log,
     se3_log_many,
     se3_right_jacobian_inv_many,
 )
-from seqloc.geometry import _matrix_quat, _q_coefficients, _quat_matrix
+from seqloc.geometry import _matrix_quat, _q_coefficients, _quat_matrix, _quat_multiply
+from seqloc.geometry import _skew, _skew_many, _so3_V, _so3_V_many
 
 import se3_oracle
 from conftest import random_pose, random_quaternion
+from se3_oracle import boxminus, project, project_with_jacobian, se3_log
 
 
 def vectors(n: int, bound: float):
@@ -44,6 +42,21 @@ tangents = st.tuples(vectors(3, 5.0), vectors(3, 1.7)).map(np.concatenate)
 poses = st.tuples(vectors(4, 1.0), vectors(3, 5.0)).filter(
     lambda qt: np.linalg.norm(qt[0]) > 0.1
 ).map(lambda qt: Pose(Quaternion(*qt[0]), qt[1]))
+
+
+def pose_arrays(poses) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([T.rotation.wxyz for T in poses]), np.array([T.translation for T in poses])
+
+
+def log_between(a: list[Pose], b: list[Pose]) -> np.ndarray:
+    """Log(b^-1 a) row by row on the kernels, as pgo evaluates its residuals."""
+    return se3_log_many(*compose_many(*inverse_many(*pose_arrays(b)), *pose_arrays(a)))
+
+
+def retract(T: list[Pose], d: np.ndarray) -> list[Pose]:
+    """T Exp(d) row by row on the kernels, as pgo retracts its nodes."""
+    q, t = compose_many(*pose_arrays(T), *se3_exp_many(np.reshape(d, (-1, 6))))
+    return [Pose(Quaternion(*qk), tk) for qk, tk in zip(q, t)]
 
 
 def matrix_log_tangent(T: Pose) -> np.ndarray:
@@ -107,26 +120,25 @@ class TestInverse:
 class TestBoxOps:
     def test_boxminus_self_is_zero(self, rng):
         T = random_pose(rng)
-        np.testing.assert_allclose(boxminus(T, T), np.zeros(6), atol=1e-12)
+        np.testing.assert_allclose(log_between([T], [T])[0], np.zeros(6), atol=1e-12)
 
     def test_pure_translation_log(self):
         a = Pose(Quaternion.identity(), [1.0, 2.0, 3.0])
-        d = boxminus(a, Pose.identity())
+        d = se3_log_many(*pose_arrays([a]))[0]
         np.testing.assert_allclose(d, [1, 2, 3, 0, 0, 0], atol=1e-12)
 
     def test_rot90_matches_matrix_log(self):
         a = Pose(Quaternion.from_axis_angle([0, 0, 1], math.pi / 2), [0.3, -0.1, 0.2])
-        d = boxminus(a, Pose.identity())
+        d = se3_log_many(*pose_arrays([a]))[0]
         np.testing.assert_allclose(d[3:], [0, 0, math.pi / 2], atol=1e-12)
         np.testing.assert_allclose(d, matrix_log_tangent(a), atol=1e-9)
 
     def test_random_matches_matrix_log(self, rng):
-        for _ in range(50):
-            a, b = random_pose(rng), random_pose(rng)
-            rel = b.inverse().compose(a)
-            if rel.rotation.angle > math.pi - 1e-3:
-                continue
-            np.testing.assert_allclose(boxminus(a, b), matrix_log_tangent(rel), atol=1e-8)
+        pairs = [(random_pose(rng), random_pose(rng)) for _ in range(50)]
+        pairs = [(a, b) for a, b in pairs if b.inverse().compose(a).rotation.angle <= math.pi - 1e-3]
+        logs = log_between([a for a, _ in pairs], [b for _, b in pairs])
+        for (a, b), d in zip(pairs, logs):
+            np.testing.assert_allclose(d, matrix_log_tangent(b.inverse().compose(a)), atol=1e-8)
 
     def test_boxplus_zero(self, rng):
         T = random_pose(rng)
@@ -138,48 +150,46 @@ class TestBoxOps:
         assert got.rotation.allclose(Quaternion.identity())
 
     def test_roundtrip(self, rng):
-        for _ in range(200):
-            T = random_pose(rng)
-            d = rng.uniform(-0.5, 0.5, size=6)
-            np.testing.assert_allclose(boxminus(boxplus(T, d), T), d, atol=1e-9)
+        T = [random_pose(rng) for _ in range(200)]
+        d = rng.uniform(-0.5, 0.5, size=(200, 6))
+        np.testing.assert_allclose(log_between(retract(T, d), T), d, atol=1e-9)
 
     def test_boxplus_boxminus_reproduces(self, rng):
-        for _ in range(200):
-            a, b = random_pose(rng), random_pose(rng)
-            if b.inverse().compose(a).rotation.angle > math.pi - 1e-3:
-                continue
-            assert boxplus(b, boxminus(a, b)).allclose(a, atol=1e-9)
+        pairs = [(random_pose(rng), random_pose(rng)) for _ in range(200)]
+        pairs = [(a, b) for a, b in pairs if b.inverse().compose(a).rotation.angle <= math.pi - 1e-3]
+        a, b = [a for a, _ in pairs], [b for _, b in pairs]
+        for got, want in zip(retract(b, log_between(a, b)), a):
+            assert got.allclose(want, atol=1e-9)
 
     def test_near_pi_rejected(self):
         a = Pose(Quaternion.from_axis_angle([1, 0, 0], math.pi - 1e-9), [0, 0, 0])
         with pytest.raises(RotationSingularity):
-            boxminus(a, Pose.identity())
+            se3_log_many(*pose_arrays([a]))
 
     def test_exp_log_roundtrip_large_angles(self, rng):
-        for _ in range(500):
-            phi = rng.normal(size=3)
-            phi *= rng.uniform(0, 3.0) / np.linalg.norm(phi)
-            d = np.concatenate([rng.normal(size=3), phi])
-            np.testing.assert_allclose(se3_log(se3_exp(d)), d, atol=1e-9)
+        phi = rng.normal(size=(500, 3))
+        phi *= rng.uniform(0, 3.0, size=(500, 1)) / np.linalg.norm(phi, axis=1, keepdims=True)
+        d = np.hstack([rng.normal(size=(500, 3)), phi])
+        np.testing.assert_allclose(se3_log_many(*se3_exp_many(d)), d, atol=1e-9)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(d=tangents)
 def test_exp_log_round_trip_property(d):
-    np.testing.assert_allclose(se3_log(se3_exp(d)), d, atol=1e-9)
+    np.testing.assert_allclose(se3_log_many(*se3_exp_many(d[None]))[0], d, atol=1e-9)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(T=poses, d=tangents)
 def test_boxminus_undoes_boxplus_property(T, d):
-    np.testing.assert_allclose(boxminus(boxplus(T, d), T), d, atol=1e-9)
+    np.testing.assert_allclose(log_between(retract([T], d), [T])[0], d, atol=1e-9)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(a=poses, b=poses)
 def test_boxplus_undoes_boxminus_property(a, b):
     assume(b.inverse().compose(a).rotation.angle < 3.0)
-    assert boxplus(b, boxminus(a, b)).allclose(a, atol=1e-9)
+    assert retract([b], log_between([a], [b]))[0].allclose(a, atol=1e-9)
 
 
 # --- batched kernels against the scalar maps -------------------------------------
@@ -215,10 +225,6 @@ def assert_quaternion_close(got, want: Quaternion):
     assert_close(got, want.wxyz)
 
 
-def pose_arrays(poses) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([T.rotation.wxyz for T in poses]), np.array([T.translation for T in poses])
-
-
 @kernel_property
 @given(taus=tangent_batches)
 def test_exp_and_log_kernels_match_scalar(taus):
@@ -246,6 +252,38 @@ def test_compose_and_inverse_kernels_match_scalar(pairs):
         inv = a[k].inverse()
         assert_quaternion_close(qi[k], inv.rotation)
         assert_close(ti[k], inv.translation)
+
+
+@kernel_property
+@given(pairs=st.lists(st.tuples(poses, branch_tangents), min_size=1, max_size=6))
+def test_scalar_twins_match_kernels(pairs):
+    """The scalar maps kept for the N = 1 path: equal to their kernels where the
+    arithmetic is the same, within 1e-14 where the order of operations differs."""
+    T = [T for T, _ in pairs]
+    taus = np.array([tau for _, tau in pairs])
+    phi = taus[:, 3:]
+    q, t = se3_exp_many(taus)
+    qb, tb = compose_many(*pose_arrays(T), q, t)
+    qc, tc = compose_many(*pose_arrays(T), *pose_arrays(T[::-1]))
+    qi, ti = inverse_many(*pose_arrays(T))
+    mul = _quat_multiply(pose_arrays(T)[0], pose_arrays(T[::-1])[0])
+    V, S = _so3_V_many(phi), _skew_many(phi)
+    for k, (Tk, tau) in enumerate(pairs):
+        assert (_skew(phi[k]) == S[k]).all()
+        assert_close(_so3_V(phi[k]), V[k], tol=1e-14)
+        assert_close(Quaternion.from_rotvec(phi[k]).wxyz, q[k], tol=1e-14)
+        E = se3_exp(tau)
+        assert_close(E.rotation.wxyz, q[k], tol=1e-14)
+        assert_close(E.translation, t[k], tol=1e-14)
+        B = boxplus(Tk, tau)
+        assert_close(B.rotation.wxyz, qb[k], tol=1e-14)
+        assert_close(B.translation, tb[k], tol=1e-14)
+        C = Tk.compose(T[::-1][k])
+        assert (C.rotation.wxyz == qc[k]).all() and (C.rotation.wxyz == mul[k]).all()
+        assert_close(C.translation, tc[k], tol=1e-14)
+        inv = Tk.inverse()
+        assert (inv.rotation.wxyz == qi[k]).all()
+        assert_close(inv.translation, ti[k], tol=1e-14)
 
 
 @kernel_property
@@ -319,43 +357,54 @@ def test_log_kernel_raises_next_to_pi(taus, axis, short_of_pi, t, at):
 
 
 class TestHalfAngle:
+    """Quaternion.angle / 2, the half-angle that select_neighbors tests."""
+
     def test_identity(self):
-        assert rotation_half_angle(Quaternion.identity()) == 0.0
+        assert Quaternion.identity().angle == 0.0
 
     def test_90deg(self, rng):
         for _ in range(20):
             axis = rng.normal(size=3)
             q = Quaternion.from_axis_angle(axis, math.pi / 2)
-            assert abs(rotation_half_angle(q) - math.pi / 4) < 1e-12
+            assert abs(0.5 * q.angle - math.pi / 4) < 1e-12
 
     def test_180deg(self):
         q = Quaternion.from_axis_angle([0, 1, 0], math.pi)
-        assert abs(rotation_half_angle(q) - math.pi / 2) < 1e-12
+        assert abs(0.5 * q.angle - math.pi / 2) < 1e-12
 
     def test_is_half_geodesic(self, rng):
+        # Geodesic angle of R from sin and cos: ||vee(R - R^T)|| / 2 and (tr R - 1) / 2.
         for _ in range(500):
             q = random_quaternion(rng)
-            if q.angle >= math.pi:
-                continue
-            assert abs(rotation_half_angle(q) - 0.5 * q.angle) < 1e-12
+            R = q.matrix
+            sin = 0.5 * np.linalg.norm([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+            assert abs(0.5 * q.angle - 0.5 * math.atan2(sin, 0.5 * (np.trace(R) - 1.0))) < 1e-12
+
+
+def kernel_project(K: CameraIntrinsics, T: Pose, points):
+    """project_many_with_jacobian over (N,3) world points seen by one camera T(cam<-world)."""
+    X = np.reshape(np.asarray(points, dtype=float), (-1, 3))
+    R = T.rotation.matrix
+    f, c = np.array([K.fx, K.fy]), np.array([K.cx, K.cy])
+    return project_many_with_jacobian(R, X @ R.T + T.translation, X, f, c)
 
 
 class TestProject:
     K = CameraIntrinsics(fx=100, fy=100, cx=50, cy=50, width=100, height=100)
 
     def test_on_axis(self):
-        np.testing.assert_allclose(
-            project(self.K, Pose.identity(), [0, 0, 1.0]), [50, 50]
-        )
+        pix, _, valid = kernel_project(self.K, Pose.identity(), [0, 0, 1.0])
+        assert valid[0]
+        np.testing.assert_allclose(pix[0], [50, 50])
 
     def test_off_axis(self):
-        np.testing.assert_allclose(
-            project(self.K, Pose.identity(), [1.0, 0, 2.0]), [100, 50]
-        )
+        pix, _, valid = kernel_project(self.K, Pose.identity(), [1.0, 0, 2.0])
+        assert valid[0]
+        np.testing.assert_allclose(pix[0], [100, 50])
 
     def test_behind_camera(self):
-        assert project(self.K, Pose.identity(), [0, 0, -1.0]) is None
-        assert project(self.K, Pose.identity(), [0, 0, 0.0]) is None
+        _, _, valid = kernel_project(self.K, Pose.identity(), [[0, 0, -1.0], [0, 0, 0.0], [0, 0, 1e-9]])
+        assert not valid.any()
 
     def test_posed_camera_matches_projection_matrix(self, rng):
         for _ in range(100):
@@ -363,22 +412,20 @@ class TestProject:
             X = rng.normal(size=3) + np.array([0, 0, 4.0])
             P = self.K.K @ T.matrix[:3, :]  # 3x4 projection-matrix oracle
             h = P @ np.append(X, 1.0)
-            pix = project(self.K, T, X)
-            if h[2] <= 1e-9:
-                assert pix is None
-            else:
-                np.testing.assert_allclose(pix, h[:2] / h[2], atol=1e-9)
+            pix, _, valid = kernel_project(self.K, T, X)
+            assert valid[0] == (h[2] > 1e-9)
+            if valid[0]:
+                np.testing.assert_allclose(pix[0], h[:2] / h[2], atol=1e-9)
 
     def test_vectorized_matches_scalar(self, rng):
         T = random_pose(rng, t_scale=0.2)
         pts = rng.normal(size=(50, 3)) + np.array([0, 0, 5.0])
-        pix, depth = project_points(self.K, T, pts)
+        pix, _, valid = kernel_project(self.K, T, pts)
         for i in range(len(pts)):
             single = project(self.K, T, pts[i])
-            if depth[i] > 1e-9:
+            assert valid[i] == (single is not None)
+            if valid[i]:
                 np.testing.assert_allclose(pix[i], single, atol=1e-12)
-            else:
-                assert single is None
 
     def test_jacobian_matches_finite_differences(self, rng):
         eps = 1e-6
@@ -387,7 +434,7 @@ class TestProject:
             X = rng.normal(size=3) * 2.0
             if T.apply(X)[2] < 0.5:
                 continue
-            pix, J = project_with_jacobian(self.K, T, X)
+            J = kernel_project(self.K, T, X)[1][0]
             J_fd = np.zeros((2, 6))
             for k in range(6):
                 e = np.zeros(6)
@@ -405,7 +452,7 @@ class TestProject:
         )
         cam[:5, 2] = 0.0  # on the camera plane
         pts = T.inverse().apply_many(cam)
-        pix, J, valid = project_points_with_jacobian(self.K, T, pts)
+        pix, J, valid = kernel_project(self.K, T, pts)
         assert pix.shape == (50, 2) and J.shape == (50, 2, 6) and valid.shape == (50,)
         assert 0 < valid.sum() < 40
         for i in range(len(pts)):
@@ -415,6 +462,18 @@ class TestProject:
                 continue
             assert np.abs(pix[i] - p).max() <= 1e-12 * max(1.0, np.abs(p).max())
             assert np.abs(J[i] - Ji).max() <= 1e-12 * max(1.0, np.abs(Ji).max())
+
+
+class TestCameraIntrinsics:
+    def test_non_finite_or_fractional_values_rejected(self):
+        good = dict(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+        CameraIntrinsics(**good)
+        CameraIntrinsics(**{**good, "width": np.int64(640), "height": 480.0})
+        bad = [("fx", math.inf), ("fy", math.inf), ("fx", math.nan), ("cx", math.inf), ("cy", math.nan),
+               ("width", 640.5), ("width", math.inf), ("height", math.nan), ("height", -math.inf)]
+        for name, value in bad:
+            with pytest.raises(ValueError):
+                CameraIntrinsics(**{**good, name: value})
 
 
 class TestPose:
@@ -431,7 +490,38 @@ class TestPose:
         qs += [Quaternion(1, 0.1, 0, 0), Quaternion(0, 1, 0.2, 0), Quaternion(0, 0.2, 1, 0), Quaternion(0, 0, 0.2, 1)]
         got = _matrix_quat(np.array([q.matrix for q in qs]))
         for k, q in enumerate(qs):
-            assert_quaternion_close(got[k], Quaternion.from_matrix(q.matrix))
+            assert (got[k] == se3_oracle.shepperd_quaternion(q.matrix).wxyz).all()
+
+    def test_non_finite_rotation_rejected(self):
+        for value in (math.nan, math.inf, -math.inf):
+            off_diagonal = np.where(np.eye(3) > 0, 1.0, value)
+            for R in (np.full((3, 3), value), off_diagonal, np.diag([1.0, 1.0, value])):
+                with pytest.raises(ValueError, match="not finite"):
+                    Quaternion.from_matrix(R)
+                with pytest.raises(ValueError, match="not finite"):
+                    Pose.from_rt(R, np.zeros(3))
+
+
+# Components drawn from a few exact values as well as at random, and one
+# copied onto another, so that the matrices include exact ties between
+# Shepperd's branches; some are perturbed off the rotation group, as a fitted
+# rotation can be.
+shepperd_components = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, 0.25]), st.floats(-1.0, 1.0))
+
+
+@kernel_property
+@given(
+    v=st.lists(shepperd_components, min_size=4, max_size=4),
+    tie=st.sampled_from([None, (0, 1), (1, 2), (1, 3), (2, 3)]),
+    noise=st.one_of(st.just(0.0), st.floats(1e-12, 1e-6)),
+    seed=st.integers(0, 2**16),
+)
+def test_from_matrix_equals_scalar_shepperd(v, tie, noise, seed):
+    if tie is not None:
+        v[tie[1]] = v[tie[0]]
+    assume(np.linalg.norm(v) > 1e-3)
+    R = Quaternion(*v).matrix + noise * np.random.default_rng(seed).uniform(-1, 1, size=(3, 3))
+    assert (Quaternion.from_matrix(R).wxyz == se3_oracle.shepperd_quaternion(R).wxyz).all()
 
 
 class TestQuaternion:

@@ -7,13 +7,13 @@ import pytest
 
 import se3_oracle
 from seqloc import pgo
-from seqloc.geometry import Pose, Quaternion, boxminus, boxplus, se3_exp
+from seqloc.geometry import Pose, Quaternion, boxplus, se3_exp
 from seqloc.pgo import HUBER_THRESHOLD, GraphBuildError, PgoMode, build_graph, optimize
 from seqloc.pose_estimation import PoseEstimate, PoseStatus
 from seqloc.solver import solve_block_tridiagonal
 
 from conftest import block_tridiagonal_dense, random_pose
-from se3_oracle import residual, residual_with_jacobians
+from se3_oracle import boxminus, residual, residual_with_jacobians
 
 COV = np.diag([0.005**2] * 3 + [math.radians(0.05) ** 2] * 3)
 

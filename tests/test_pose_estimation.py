@@ -10,15 +10,8 @@ from hypothesis import strategies as st
 from conftest import in_image
 import p3p_oracle
 import seqloc.pose_estimation as pe
-from seqloc.geometry import (
-    CameraIntrinsics,
-    Pose,
-    Quaternion,
-    boxplus,
-    project,
-    project_points,
-    project_with_jacobian,
-)
+from se3_oracle import project, project_points, project_with_jacobian
+from seqloc.geometry import CameraIntrinsics, Pose, Quaternion, boxplus
 from seqloc.pose_estimation import (
     CameraView,
     PoseStatus,

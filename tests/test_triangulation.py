@@ -8,7 +8,8 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from seqloc.geometry import CameraIntrinsics, Pose, Quaternion, project
+from se3_oracle import project
+from seqloc.geometry import CameraIntrinsics, Pose, Quaternion
 from seqloc.ingest import Frame
 from seqloc.matching import MatchSet
 from seqloc.triangulation import (

@@ -231,13 +231,6 @@ class Pose:
         q_inv = self.rotation.conjugate()
         return Pose(q_inv, -q_inv.rotate(self.translation))
 
-    def apply(self, point) -> np.ndarray:
-        return self.rotation.rotate(point) + self.translation
-
-    def apply_many(self, points: np.ndarray) -> np.ndarray:
-        """(N,3) points in frame j -> (N,3) points in frame i."""
-        return points @ self.rotation.matrix.T + self.translation
-
     def allclose(self, other: "Pose", atol: float = 1e-9) -> bool:
         return self.rotation.allclose(other.rotation, atol=atol) and bool(
             np.allclose(self.translation, other.translation, atol=atol)

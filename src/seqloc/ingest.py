@@ -109,11 +109,9 @@ class QuerySequence:
         return len(self.rigs)
 
 
-def default_odometry_covariance(
-    sigma_t_m: float = DEFAULT_SIGMA_T_M, sigma_r_deg: float = DEFAULT_SIGMA_R_DEG
-) -> np.ndarray:
-    sr = math.radians(sigma_r_deg)
-    return np.diag([sigma_t_m**2] * 3 + [sr**2] * 3)
+def default_odometry_covariance() -> np.ndarray:
+    sr = math.radians(DEFAULT_SIGMA_R_DEG)
+    return np.diag([DEFAULT_SIGMA_T_M**2] * 3 + [sr**2] * 3)
 
 
 # --- csv tables ---------------------------------------------------------------

@@ -16,16 +16,17 @@ PnP estimate with an inlier-weighted prior of covariance
 PRIOR_SIGMA_SCALE^2 * Sigma / inlier_count, so all localization evidence
 shapes the result.
 
-Array layout. optimize turns the graph into arrays once and Pose objects
-appear only at its boundary; the fixed node comes back as the very object it
-was given. The n nodes are (n+1,4) quaternions and (n+1,3) translations
-whose last row is the identity. The M factors, the odometry edges first,
+Array layout. A PoseGraph is the arrays that optimize reads; Pose objects
+appear only at the boundary: the n nodes, and the fixed one, which comes back
+as the very object it was given. The M factors, the odometry edges first,
 then the priors, are node indices a and b, their measurements inverted as
-(M,4) and (M,3) arrays, and (M,6,6) information matrices. Factor k's
-residual is e_k = Log(z_k^-1 T_b^-1 T_a), with a = i, b = i + 1 for edge i
-and b = n, the identity, for a prior, whose residual is thus
-Log(target^-1 T_node). One pass of seqloc.geometry's batched kernels gives
-the (M,6) residuals and their (M,6,6) Jacobian blocks.
+(M,4) quaternions and (M,3) translations (z_inv), and (M,6,6) information
+matrices. Inside optimize the nodes are (n+1,4) quaternions and (n+1,3)
+translations whose last row is the identity. Factor k's residual is
+e_k = Log(z_k^-1 T_b^-1 T_a), with a = i, b = i + 1 for edge i and b = n,
+the identity, for a prior, whose residual is thus Log(target^-1 T_node). One
+pass of seqloc.geometry's batched kernels gives the (M,6) residuals and their
+(M,6,6) Jacobian blocks.
 
 O(N) solve. Node i meets only nodes i - 1 and i + 1, through its odometry
 edges; a prior touches its node alone. The normal equations over the free
@@ -75,28 +76,17 @@ class GraphBuildError(ValueError):
 
 
 @dataclass
-class OdometryEdge:
-    """Relative constraint between node i and node i+1."""
-
-    i: int
-    measurement: Pose  # (Tq_{i+1})^-1 * Tq_i
-    information: np.ndarray  # 6x6
-
-
-@dataclass
-class PriorFactor:
-    node: int
-    target: Pose
-    information: np.ndarray
-
-
-@dataclass
 class PoseGraph:
+    """The nodes, and every factor as arrays: the odometry edges, then the priors."""
+
     nodes: list[Pose]
     frame_ids: list[str]
     fixed: int
-    edges: list[OdometryEdge]
-    priors: list[PriorFactor]
+    a: np.ndarray  # (M,) node indices
+    b: np.ndarray  # (M,) i + 1 for edge i; n, the identity row, for a prior
+    z_inv: tuple[np.ndarray, np.ndarray]  # (M,4), (M,3): measurements (targets for priors), inverted
+    info: np.ndarray  # (M,6,6)
+    n_edges: int
 
 
 @dataclass
@@ -122,6 +112,7 @@ def build_graph(
     (ties: lowest index). prior_augmented adds one prior per localized node
     with covariance PRIOR_SIGMA_SCALE^2 * Sigma / inlier_count. Every factor
     gets the Huber kernel at HUBER_THRESHOLD; the mode is the only setting.
+    Raises GraphBuildError when the covariance is not a finite, invertible 6x6.
     """
     mode = PgoMode(mode)
     n = len(estimates)
@@ -130,6 +121,16 @@ def build_graph(
     localized = [i for i, e in enumerate(estimates) if e.status is PoseStatus.LOCALIZED]
     if not localized:
         raise GraphBuildError("no localized frames in batch")
+    covariance = np.asarray(covariance, dtype=float)
+    if covariance.shape != (6, 6) or not np.isfinite(covariance).all():
+        raise GraphBuildError(f"odometry covariance of shape {covariance.shape} is not a finite 6x6")
+    try:
+        info = np.linalg.inv(covariance)
+    except np.linalg.LinAlgError as exc:
+        raise GraphBuildError(f"odometry covariance cannot be inverted: {exc}") from None
+    if not np.isfinite(info).all():
+        raise GraphBuildError("odometry covariance cannot be inverted: its inverse is not finite")
+    info = 0.5 * (info + info.T)
 
     nodes: list[Pose] = []
     for i, est in enumerate(estimates):
@@ -141,33 +142,19 @@ def build_graph(
             nodes.append(anchor.compose(odometry[near].inverse().compose(odometry[i])))
 
     counts = np.array([e.inlier_count for e in estimates])
-    fixed = int(np.argmax(counts))
-
-    info = np.linalg.inv(covariance)
-    info = 0.5 * (info + info.T)
-    edges = [
-        OdometryEdge(
-            i=i,
-            measurement=odometry[i + 1].inverse().compose(odometry[i]),
-            information=info,
-        )
-        for i in range(n - 1)
-    ]
-
-    priors: list[PriorFactor] = []
-    if mode is PgoMode.PRIOR_AUGMENTED:
-        for i in localized:
-            prior_info = info * (estimates[i].inlier_count / PRIOR_SIGMA_SCALE**2)
-            priors.append(
-                PriorFactor(node=i, target=estimates[i].pose, information=prior_info)
-            )
-
+    priors = localized if mode is PgoMode.PRIOR_AUGMENTED else []
+    z = [odometry[i + 1].inverse().compose(odometry[i]) for i in range(n - 1)]
+    z += [estimates[i].pose for i in priors]
+    prior_info = info * (counts[priors] / PRIOR_SIGMA_SCALE**2)[:, None, None]
     return PoseGraph(
         nodes=nodes,
         frame_ids=[e.frame_id for e in estimates],
-        fixed=fixed,
-        edges=edges,
-        priors=priors,
+        fixed=int(np.argmax(counts)),
+        a=np.concatenate([np.arange(n - 1), priors]).astype(int),
+        b=np.concatenate([np.arange(1, n), np.full(len(priors), n)]).astype(int),
+        z_inv=inverse_many(*_pose_arrays(z)),
+        info=np.concatenate([np.broadcast_to(info, (n - 1, 6, 6)), prior_info]),
+        n_edges=n - 1,
     )
 
 
@@ -182,26 +169,6 @@ def _node_arrays(nodes: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
     return _pose_arrays([*nodes, Pose.identity()])
 
 
-class _Factors(NamedTuple):
-    """Every factor of a graph as arrays: the odometry edges, then the priors."""
-
-    a: np.ndarray  # (M,) node indices
-    b: np.ndarray  # (M,) i + 1 for edge i; n, the identity row, for a prior
-    z_inv: tuple[np.ndarray, np.ndarray]  # measurements (targets for priors), inverted
-    info: np.ndarray  # (M,6,6)
-    n_edges: int
-
-
-def _factors(graph: PoseGraph) -> _Factors:
-    n = len(graph.nodes)
-    edges, priors = graph.edges, graph.priors
-    a = np.array([e.i for e in edges] + [p.node for p in priors], dtype=int)
-    b = np.array([e.i + 1 for e in edges] + [n] * len(priors), dtype=int)
-    z = _pose_arrays([e.measurement for e in edges] + [p.target for p in priors])
-    info = np.array([f.information for f in [*edges, *priors]]).reshape(-1, 6, 6)
-    return _Factors(a, b, inverse_many(*z), info, len(edges))
-
-
 class _Linearization(NamedTuple):
     e: np.ndarray  # (M,6) residuals
     J_a: np.ndarray  # (M,6,6) w.r.t. a right perturbation of node a
@@ -209,36 +176,35 @@ class _Linearization(NamedTuple):
     w: np.ndarray  # (M,) Huber IRLS weights
 
 
-def _evaluate(f: _Factors, q: np.ndarray, t: np.ndarray) -> tuple[float, _Linearization]:
+def _evaluate(graph: PoseGraph, q: np.ndarray, t: np.ndarray) -> tuple[float, _Linearization]:
     """Total robust cost at the node arrays, and every factor linearized there.
     Raises RotationSingularity (a ValueError) when a residual is undefined.
     """
-    X = compose_many(*inverse_many(q[f.b], t[f.b]), q[f.a], t[f.a])  # T_b^-1 T_a
-    e = se3_log_many(*compose_many(*f.z_inv, *X))
+    a, b, m = graph.a, graph.b, graph.n_edges
+    X = compose_many(*inverse_many(q[b], t[b]), q[a], t[a])  # T_b^-1 T_a
+    e = se3_log_many(*compose_many(*graph.z_inv, *X))
     J_a = se3_right_jacobian_inv_many(e)
     # A prior's node b is the identity row, which never moves: J_b for the edges only.
-    X_inv = inverse_many(X[0][: f.n_edges], X[1][: f.n_edges])
-    J_b = -J_a[: f.n_edges] @ adjoint_many(*X_inv)
-    rho, w = huber(np.einsum("mi,mij,mj->m", e, f.info, e), HUBER_THRESHOLD)
+    J_b = -J_a[:m] @ adjoint_many(*inverse_many(X[0][:m], X[1][:m]))
+    rho, w = huber(np.einsum("mi,mij,mj->m", e, graph.info, e), HUBER_THRESHOLD)
     return float(rho.sum()), _Linearization(e, J_a, J_b, w)
 
 
 def _normal_equations(
-    f: _Factors, lin: _Linearization, free: np.ndarray
+    graph: PoseGraph, lin: _Linearization, free: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted Gauss-Newton system over the free nodes, in the blocks of
     seqloc.solver.solve_block_tridiagonal: diagonal, coupling and gradient."""
-    n, m = len(free) + 1, f.n_edges
-    wJa_info = lin.J_a.transpose(0, 2, 1) @ (lin.w[:, None, None] * f.info)  # w J_a^T info
-    wJb_info = lin.J_b.transpose(0, 2, 1) @ (lin.w[:m, None, None] * f.info[:m])
+    n, m = len(graph.nodes), graph.n_edges
+    wJa_info = lin.J_a.transpose(0, 2, 1) @ (lin.w[:, None, None] * graph.info)  # w J_a^T info
+    wJb_info = lin.J_b.transpose(0, 2, 1) @ (lin.w[:m, None, None] * graph.info[:m])
     D = np.zeros((n, 6, 6))
     g = np.zeros((n, 6))
-    C = np.zeros((n - 1, 6, 6))
-    np.add.at(D, f.a, wJa_info @ lin.J_a)
-    np.add.at(D, f.b[:m], wJb_info @ lin.J_b)
-    np.add.at(g, f.a, np.einsum("mij,mj->mi", wJa_info, lin.e))
-    np.add.at(g, f.b[:m], np.einsum("mij,mj->mi", wJb_info, lin.e[:m]))
-    np.add.at(C, f.a[:m], wJa_info[:m] @ lin.J_b)  # edge i couples i and i + 1
+    np.add.at(D, graph.a, wJa_info @ lin.J_a)
+    np.add.at(D, graph.b[:m], wJb_info @ lin.J_b)
+    np.add.at(g, graph.a, np.einsum("mij,mj->mi", wJa_info, lin.e))
+    np.add.at(g, graph.b[:m], np.einsum("mij,mj->mi", wJb_info, lin.e[:m]))
+    C = wJa_info[:m] @ lin.J_b  # edge i couples i and i + 1
     # Free neighbours in the chain keep their coupling; the two either side of
     # the fixed node have none.
     C = np.where((np.diff(free) == 1)[:, None, None], C[free[:-1]], 0.0)
@@ -257,7 +223,6 @@ def optimize(
     gives the next normal equations and, at the end, the weights.
     """
     n = len(graph.nodes)
-    factors = _factors(graph)
     free = np.delete(np.arange(n), graph.fixed)
 
     def retract(x, delta: np.ndarray):
@@ -266,10 +231,10 @@ def optimize(
         return q, t
 
     (q, t), lin, rep = levenberg_marquardt(
-        _node_arrays(graph.nodes), lambda x: _evaluate(factors, *x),
-        lambda _, lin: _normal_equations(factors, lin, free), retract, max_iters, tol,
+        _node_arrays(graph.nodes), lambda x: _evaluate(graph, *x),
+        lambda _, lin: _normal_equations(graph, lin, free), retract, max_iters, tol,
     )
     nodes = [Pose(Quaternion(*qi), ti) for qi, ti in zip(q[:n].tolist(), t[:n])]
     nodes[graph.fixed] = graph.nodes[graph.fixed]
-    m = factors.n_edges
+    m = graph.n_edges
     return nodes, PgoReport(*rep, lin.w[:m].tolist(), lin.w[m:].tolist())

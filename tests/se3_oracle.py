@@ -3,10 +3,12 @@
 The batched kernels of seqloc.geometry and the array evaluation of
 seqloc.pgo replaced this code; the tests keep it as their reference: the
 scalar Log (rotvec, so3_V_inv, se3_log, boxminus), Shepperd's
-matrix-to-quaternion conversion, pinhole projection with its Jacobian and the
-SE(3) Jacobians. optimize here is pgo.optimize as it was: per-factor Pose
-arithmetic and one dense normal-equation solve, run by the same
-Levenberg-Marquardt loop with the whole Hessian as a single block.
+matrix-to-quaternion conversion, a pose applied to points, pinhole projection
+with its Jacobian and the SE(3) Jacobians. optimize here is pgo.optimize as
+it was: per-factor Pose arithmetic and one dense normal-equation solve, run
+by the same Levenberg-Marquardt loop with the whole Hessian as a single
+block. It reads the factors of the array graph that pgo.build_graph makes,
+one row at a time, each inverted measurement turned back into a Pose.
 """
 
 from __future__ import annotations
@@ -93,9 +95,19 @@ def boxminus(a: Pose, b: Pose) -> np.ndarray:
     return se3_log(rel)
 
 
+def apply(T: Pose, point) -> np.ndarray:
+    """A point in frame j -> the point in frame i, for T = Pose(i<-j)."""
+    return T.rotation.rotate(point) + T.translation
+
+
+def apply_many(T: Pose, points: np.ndarray) -> np.ndarray:
+    """(N,3) points in frame j -> (N,3) points in frame i."""
+    return points @ T.rotation.matrix.T + T.translation
+
+
 def project(K: CameraIntrinsics, T_cam_from_world: Pose, point) -> np.ndarray | None:
     """Project a world point; None when at or behind the camera plane."""
-    pc = T_cam_from_world.apply(point)
+    pc = apply(T_cam_from_world, point)
     if pc[2] <= BEHIND_CAMERA_DEPTH:
         return None
     return np.array([K.fx * pc[0] / pc[2] + K.cx, K.fy * pc[1] / pc[2] + K.cy])
@@ -108,7 +120,7 @@ def project_points(
 
     Pixels of non-positive-depth points are filled with nan; check depths.
     """
-    pc = T_cam_from_world.apply_many(np.asarray(points, dtype=float))
+    pc = apply_many(T_cam_from_world, np.asarray(points, dtype=float))
     z = pc[:, 2]
     valid = z > BEHIND_CAMERA_DEPTH
     pix = np.full((len(pc), 2), np.nan)
@@ -227,13 +239,15 @@ def evaluate(graph: PoseGraph, nodes: list[Pose]) -> tuple[float, tuple[list[Fac
     a residual is undefined.
     """
     factors = []
-    for edge in graph.edges:
-        a, b = edge.i, edge.i + 1
-        e, Ja, Jb = residual_with_jacobians(edge.measurement, nodes[a], nodes[b])
-        factors.append(Factor((a, b), e, (Ja, Jb), edge.information))
-    for prior in graph.priors:
-        e = boxminus(nodes[prior.node], prior.target)
-        factors.append(Factor((prior.node,), e, (se3_right_jacobian_inv(e),), prior.information))
+    zq, zt = graph.z_inv
+    for k, (a, b) in enumerate(zip(graph.a.tolist(), graph.b.tolist())):
+        z = Pose(Quaternion(*zq[k].tolist()), zt[k]).inverse()
+        if k < graph.n_edges:
+            e, Ja, Jb = residual_with_jacobians(z, nodes[a], nodes[b])
+            factors.append(Factor((a, b), e, (Ja, Jb), graph.info[k]))
+        else:
+            e = boxminus(nodes[a], z)
+            factors.append(Factor((a,), e, (se3_right_jacobian_inv(e),), graph.info[k]))
     rho, w = huber([float(f.e @ f.info @ f.e) for f in factors], HUBER_THRESHOLD)
     # Python's sum, unlike np.sum, adds in factor order.
     return float(sum(rho)), (factors, w)
@@ -283,5 +297,5 @@ def optimize(graph: PoseGraph, max_iters: int = 100, tol: float = 1e-9) -> tuple
     nodes, (_, w), rep = levenberg_marquardt(
         list(graph.nodes), lambda nodes: evaluate(graph, nodes), dense_blocks, retract, max_iters, tol
     )
-    n_edges = len(graph.edges)
-    return nodes, PgoReport(*rep, w[:n_edges].tolist(), w[n_edges:].tolist())
+    m = graph.n_edges
+    return nodes, PgoReport(*rep, w[:m].tolist(), w[m:].tolist())

@@ -30,7 +30,7 @@ from seqloc.geometry import _skew, _skew_many, _so3_V, _so3_V_many
 
 import se3_oracle
 from conftest import random_pose, random_quaternion
-from se3_oracle import boxminus, project, project_with_jacobian, se3_log
+from se3_oracle import apply, apply_many, boxminus, project, project_with_jacobian, se3_log
 
 
 def vectors(n: int, bound: float):
@@ -432,7 +432,7 @@ class TestProject:
         for _ in range(100):
             T = random_pose(rng, t_scale=0.3)
             X = rng.normal(size=3) * 2.0
-            if T.apply(X)[2] < 0.5:
+            if apply(T, X)[2] < 0.5:
                 continue
             J = kernel_project(self.K, T, X)[1][0]
             J_fd = np.zeros((2, 6))
@@ -451,7 +451,7 @@ class TestProject:
             [rng.uniform(-2, 2, 50), rng.uniform(-2, 2, 50), rng.uniform(-2, 6, 50)]
         )
         cam[:5, 2] = 0.0  # on the camera plane
-        pts = T.inverse().apply_many(cam)
+        pts = apply_many(T.inverse(), cam)
         pix, J, valid = kernel_project(self.K, T, pts)
         assert pix.shape == (50, 2) and J.shape == (50, 2, 6) and valid.shape == (50,)
         assert 0 < valid.sum() < 40

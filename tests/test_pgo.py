@@ -8,7 +8,7 @@ import pytest
 import se3_oracle
 from seqloc import pgo
 from seqloc.geometry import Pose, Quaternion, boxplus, se3_exp
-from seqloc.pgo import HUBER_THRESHOLD, GraphBuildError, PgoMode, build_graph, optimize
+from seqloc.pgo import HUBER_THRESHOLD, PRIOR_SIGMA_SCALE, GraphBuildError, PgoMode, build_graph, optimize
 from seqloc.pose_estimation import PoseEstimate, PoseStatus
 from seqloc.solver import solve_block_tridiagonal
 
@@ -47,8 +47,8 @@ class TestBuildGraph:
         ests[2].inlier_count = 99
         g = build_graph(ests, odom, COV, mode=PgoMode.PAPER_LITERAL)
         assert len(g.nodes) == 5
-        assert len(g.edges) == 4
-        assert g.priors == []
+        assert g.n_edges == 4
+        assert len(g.a) == len(g.b) == len(g.info) == len(g.z_inv[0]) == 4  # no priors
         assert g.fixed == 2  # argmax inliers
 
     def test_fixed_tie_lowest_index(self, rng):
@@ -74,14 +74,45 @@ class TestBuildGraph:
         ests = [estimate(i, truth[i], inliers=25) for i in range(4)]
         ests[1] = estimate(1, None, status=PoseStatus.REJECTED_FEW_INLIERS)
         g = build_graph(ests, odom, COV, mode=PgoMode.PRIOR_AUGMENTED)
-        assert len(g.priors) == 3
-        assert {p.node for p in g.priors} == {0, 2, 3}
+        assert g.a[g.n_edges :].tolist() == [0, 2, 3]
+        assert g.b[g.n_edges :].tolist() == [4, 4, 4]  # the identity row
 
     def test_zero_localized_fails(self, rng):
         odom, _ = make_chain(rng, n=3)
         ests = [estimate(i, None, status=PoseStatus.REJECTED_FEW_INLIERS) for i in range(3)]
         with pytest.raises(GraphBuildError):
             build_graph(ests, odom, COV)
+
+    @pytest.mark.parametrize(
+        "cov",
+        [np.zeros((6, 6)), np.full((6, 6), np.nan), COV[:5, :5], np.diag([1e-320] * 6)],
+        ids=["zero", "nan", "5x5", "denormal"],  # denormal: inv returns nan, raises nothing
+    )
+    def test_bad_covariance_fails(self, rng, cov):
+        odom, truth = make_chain(rng, n=3)
+        ests = [estimate(i, truth[i]) for i in range(3)]
+        with pytest.raises(GraphBuildError, match="covariance"):
+            build_graph(ests, odom, cov)
+
+    @pytest.mark.parametrize("mode", list(PgoMode))
+    def test_factors_built_by_hand(self, rng, mode):
+        odom, truth = make_chain(rng, n=5)
+        ests = [estimate(i, boxplus(truth[i], rng.normal(scale=0.05, size=6)), inliers=10 + 7 * i) for i in range(5)]
+        ests[3] = estimate(3, None, status=PoseStatus.SKIPPED_NO_NEIGHBOR)
+        A = rng.normal(size=(6, 12))
+        corr = A @ A.T / np.outer(np.linalg.norm(A, axis=1), np.linalg.norm(A, axis=1))
+        cov = np.sqrt(np.diag(COV))[:, None] * corr * np.sqrt(np.diag(COV))  # correlated axes
+        g = build_graph(ests, odom, cov, mode=mode)
+        priors = [0, 1, 2, 4] if mode is PgoMode.PRIOR_AUGMENTED else []
+        assert g.n_edges == 4
+        assert g.a.tolist() == [0, 1, 2, 3] + priors
+        assert g.b.tolist() == [1, 2, 3, 4] + [5] * len(priors)
+        want_z = [odom[i].inverse().compose(odom[i + 1]) for i in range(4)]
+        want_z += [ests[i].pose.inverse() for i in priors]
+        np.testing.assert_allclose(np.hstack(g.z_inv), [z.as_array7() for z in want_z], rtol=0, atol=1e-12)
+        info = np.linalg.inv(cov)
+        want_info = [info] * 4 + [info * ests[i].inlier_count / PRIOR_SIGMA_SCALE**2 for i in priors]
+        np.testing.assert_allclose(g.info, want_info, rtol=0, atol=1e-9 * np.abs(info).max())
 
 
 class TestResidual:
@@ -244,22 +275,24 @@ class TestOptimize:
             g = build_graph(ests, odom, COV, mode=mode)
             # stopped early, so that residuals on both sides of the threshold remain
             nodes, rep = optimize(g, max_iters=1)
+            # the factors from odom and ests, not from the graph's arrays
+            info = np.linalg.inv(COV)
             edges = [
-                huber(float(e @ edge.information @ e))
-                for edge in g.edges
-                for e in [residual(edge.measurement, nodes[edge.i], nodes[edge.i + 1])]
+                huber(float(e @ info @ e))
+                for i in range(7)
+                for e in [residual(odom[i + 1].inverse().compose(odom[i]), nodes[i], nodes[i + 1])]
             ]
             priors = [
-                huber(float(e @ prior.information @ e))
-                for prior in g.priors
-                for e in [boxminus(nodes[prior.node], prior.target)]
+                huber(float(e @ (info * est.inlier_count / PRIOR_SIGMA_SCALE**2) @ e))
+                for i, est in enumerate(ests if mode is PgoMode.PRIOR_AUGMENTED else [])
+                for e in [boxminus(nodes[i], est.pose)]
             ]
             weights = [w for _, w in edges + priors]
             assert min(weights) < 1.0 == max(weights)  # both Huber branches
             # the report is the batched evaluation at the returned nodes...
-            cost, lin = pgo._evaluate(pgo._factors(g), *pgo._node_arrays(nodes))
-            assert rep.edge_weights == lin.w[: len(g.edges)].tolist()
-            assert rep.prior_weights == lin.w[len(g.edges) :].tolist()
+            cost, lin = pgo._evaluate(g, *pgo._node_arrays(nodes))
+            assert rep.edge_weights == lin.w[: g.n_edges].tolist()
+            assert rep.prior_weights == lin.w[g.n_edges :].tolist()
             assert rep.final_cost == cost
             # ...which is the scalar Huber of the scalar residuals to rounding
             np.testing.assert_allclose(weights, lin.w, rtol=1e-12, atol=0)
@@ -306,7 +339,7 @@ class TestBatchedAgainstScalarOracle:
         for mode in PgoMode:
             g = noisy_chain_graph(rng, 12, mode, outliers=(3,))
             nodes = perturbed_nodes(rng, g)
-            cost, lin = pgo._evaluate(pgo._factors(g), *pgo._node_arrays(nodes))
+            cost, lin = pgo._evaluate(g, *pgo._node_arrays(nodes))
             want_cost, (factors, w) = se3_oracle.evaluate(g, nodes)
             assert w.min() < 1.0 == w.max()
             np.testing.assert_allclose(cost, want_cost, rtol=1e-12, atol=0)
@@ -316,7 +349,7 @@ class TestBatchedAgainstScalarOracle:
                 np.testing.assert_allclose(lin.J_a[k], f.J[0], rtol=0, atol=1e-12)
                 if len(f.J) == 2:
                     np.testing.assert_allclose(lin.J_b[k], f.J[1], rtol=0, atol=1e-12)
-            assert len(lin.J_b) == len(g.edges)
+            assert len(lin.J_b) == g.n_edges
 
     @pytest.mark.parametrize("n, fixed", [(9, 0), (9, 4), (9, 8), (2, 0), (2, 1)])
     def test_normal_equations_and_solve_match_dense(self, rng, n, fixed):
@@ -325,10 +358,9 @@ class TestBatchedAgainstScalarOracle:
             g = noisy_chain_graph(rng, n, mode, outliers=(1,))
             g.fixed = fixed
             nodes = perturbed_nodes(rng, g)
-            f = pgo._factors(g)
-            _, lin = pgo._evaluate(f, *pgo._node_arrays(nodes))
+            _, lin = pgo._evaluate(g, *pgo._node_arrays(nodes))
             free = np.delete(np.arange(n), fixed)
-            D, C, grad = pgo._normal_equations(f, lin, free)
+            D, C, grad = pgo._normal_equations(g, lin, free)
             assert D.shape == (n - 1, 6, 6) and C.shape == (n - 2, 6, 6) and grad.shape == (n - 1, 6)
             _, (factors, w) = se3_oracle.evaluate(g, nodes)
             H, want_g = se3_oracle.normal_equations(factors, w, se3_oracle.free_slots(g), 6 * (n - 1))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import in_image
 import p3p_oracle
 import seqloc.pose_estimation as pe
-from se3_oracle import project, project_points, project_with_jacobian
+from se3_oracle import apply_many, project, project_points, project_with_jacobian
 from seqloc.geometry import CameraIntrinsics, Pose, Quaternion, boxplus
 from seqloc.pose_estimation import (
     CameraView,
@@ -34,7 +34,7 @@ def scene_in_front(rng, T_cam_from_world: Pose, n: int) -> np.ndarray:
     cam_pts = np.column_stack(
         [rng.uniform(-1, 1, n), rng.uniform(-0.7, 0.7, n), rng.uniform(2, 6, n)]
     )
-    return T_cam_from_world.inverse().apply_many(cam_pts)
+    return apply_many(T_cam_from_world.inverse(), cam_pts)
 
 
 def project_all(T, X):
@@ -94,7 +94,7 @@ class TestP3P:
             if len(X) < 10:
                 d = cam[1] - cam[0]
                 cam[2] = cam[0] + 1.7 * d + rng.normal(size=3) * 5e-3 * np.linalg.norm(d)
-            x = T.inverse().apply_many(cam)
+            x = apply_many(T.inverse(), cam)
             p, depth = project_points(K, T, x)
             if (depth > 0.1).all():
                 X.append(x)

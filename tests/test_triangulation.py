@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from se3_oracle import project
+from se3_oracle import apply, apply_many, project
 from seqloc.geometry import CameraIntrinsics, Pose, Quaternion
 from seqloc.ingest import Frame
 from seqloc.matching import MatchSet
@@ -63,7 +63,7 @@ def scalar_triangulate(T_a, T_b, K_a, K_b, pix_a, pix_b, max_reproj_px=3.0, min_
         return TriangulationResult(None, reject=Reject.DEGENERATE_RAYS), min(margins)
     X = scalar_gauss_newton_step(Xh[:3] / Xh[3], [(cam_a, K_a, pix_a), (cam_b, K_b, pix_b)], margins)
 
-    za, zb = cam_a.apply(X)[2], cam_b.apply(X)[2]
+    za, zb = apply(cam_a, X)[2], apply(cam_b, X)[2]
     margins += [abs(za - 1e-9), abs(zb - 1e-9)]
     if za <= 1e-9 or zb <= 1e-9:
         return TriangulationResult(None, reject=Reject.BEHIND_CAMERA), min(margins)
@@ -86,7 +86,7 @@ def scalar_gauss_newton_step(X, views, margins):
     J = np.zeros((2 * len(views), 3))
     r = np.zeros(2 * len(views))
     for v, (cam, K_v, pix) in enumerate(views):
-        pc = cam.apply(X)
+        pc = apply(cam, X)
         margins.append(abs(pc[2] - 1e-9))
         if pc[2] <= 1e-9:
             return X
@@ -108,7 +108,7 @@ def scalar_gauss_newton_step(X, views, margins):
 
 def pixels(K_v, T_cam_from_world, X):
     """Pinhole pixels of (N,3) points, also for points behind the camera."""
-    pc = T_cam_from_world.apply_many(X)
+    pc = apply_many(T_cam_from_world, X)
     return pc[:, :2] / pc[:, 2:] * [K_v.fx, K_v.fy] + [K_v.cx, K_v.cy]
 
 
@@ -208,7 +208,7 @@ class TestTriangulatePair:
             T_a = random_pose(rng, t_scale=0.3)
             T_b = T_a.compose(pose_at(rng.uniform(0.5, 1.0), rng.uniform(-0.2, 0.2)))
             X_cam = np.array([rng.uniform(-1, 1), rng.uniform(-0.7, 0.7), rng.uniform(3, 8)])
-            X = T_a.apply(X_cam)
+            X = apply(T_a, X_cam)
             pa = project(K, T_a.inverse(), X)
             pb = project(K, T_b.inverse(), X)
             if pa is None or pb is None or not (in_image(K, pa) and in_image(K, pb)):
@@ -270,7 +270,7 @@ class TestTriangulateMatches:
                     [rng.uniform(-2, 2, 40), rng.uniform(-1.5, 1.5, 40), rng.uniform(2, 12, 40)]
                 )
                 X_cam[:5, 2] *= -1  # behind camera a
-                X = T_a.apply_many(X_cam)
+                X = apply_many(T_a, X_cam)
                 matches = two_view_matches(rng, T_a, T_b, X, noise_px, rewire)
                 seen.update(assert_matches_oracle(T_a, T_b, *matches))
         assert seen == {None, *Reject}
@@ -317,8 +317,8 @@ def test_kernel_matches_scalar_oracle(
 ):
     T_a = Pose(Quaternion.from_rotvec(rot_a), t_a)
     T_b = T_a.compose(Pose(Quaternion.from_rotvec(rot_ab), np.multiply(t_ab, baseline_scale)))
-    X = T_a.apply_many(np.array(points))
-    assume(np.all(np.abs(T_b.inverse().apply_many(X)[:, 2]) > 1e-3))  # a pixel in view b
+    X = apply_many(T_a, np.array(points))
+    assume(np.all(np.abs(apply_many(T_b.inverse(), X)[:, 2]) > 1e-3))  # a pixel in view b
     matches = two_view_matches(np.random.default_rng(seed), T_a, T_b, X, noise_px, rewire=0.3)
     assert_matches_oracle(T_a, T_b, *matches)
 

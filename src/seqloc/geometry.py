@@ -8,7 +8,8 @@ Conventions used everywhere in this package:
   - Camera frame: +z forward, +x right, +y down (pinhole, undistorted).
 
 One implementation per map: Exp and Log, V and V^-1, compose and inverse,
-matrix <-> quaternion, the adjoint and projection with its Jacobian are batched
+matrix <-> quaternion, the adjoint, the inverse right Jacobian (to first order,
+all that pgo's steps need) and projection with its Jacobian are batched
 kernels over (N, ...) arrays; Pose and Quaternion are the value types at the
 boundary. The exceptions are the scalar twins of the per-frame N = 1 path,
 where a numpy call per row costs more than the arithmetic (timings on one Xeon
@@ -146,12 +147,6 @@ class Quaternion:
         s = math.sqrt(self.x**2 + self.y**2 + self.z**2)
         return 2.0 * math.atan2(s, abs(self.w))
 
-    def allclose(self, other: "Quaternion", atol: float = 1e-9) -> bool:
-        return bool(
-            np.allclose(self.wxyz, other.wxyz, atol=atol)
-            or np.allclose(self.wxyz, -other.wxyz, atol=atol)
-        )
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -230,11 +225,6 @@ class Pose:
     def inverse(self) -> "Pose":
         q_inv = self.rotation.conjugate()
         return Pose(q_inv, -q_inv.rotate(self.translation))
-
-    def allclose(self, other: "Pose", atol: float = 1e-9) -> bool:
-        return self.rotation.allclose(other.rotation, atol=atol) and bool(
-            np.allclose(self.translation, other.translation, atol=atol)
-        )
 
 
 # --- SO(3)/SE(3) tangent maps ------------------------------------------------
@@ -439,54 +429,17 @@ def adjoint_many(q, t) -> np.ndarray:
     return A
 
 
-# Below this angle the Q coefficients come from their series: the closed forms
-# of c2 and c3 cancel to about 100 eps / theta^4 of relative error, and eight
-# series terms are exact to rounding up to here.
-Q_SERIES_MAX_ANGLE = 1.0
-
-
-def _alternating_series(t2: np.ndarray, first: int, terms: int = 8) -> np.ndarray:
-    """sum over k < terms of (-t2)^k / (first + 2k)!, by Horner's rule."""
-    out = np.zeros_like(t2)
-    for k in range(terms - 1, -1, -1):
-        out = 1.0 / math.factorial(first + 2 * k) - t2 * out
-    return out
-
-
-def _q_coefficients(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c1 = (theta - sin)/theta^3, c2 = (1 - theta^2/2 - cos)/theta^4 and
-    c3 = (theta - sin - theta^3/6)/theta^5 of the Q block, to rounding."""
-    small = theta < Q_SERIES_MAX_ANGLE
-    th = np.where(small, 1.0, theta)
-    t2 = theta**2
-    c1 = np.where(small, _alternating_series(t2, 3), (th - np.sin(th)) / th**3)
-    c2 = np.where(small, -_alternating_series(t2, 4), (1.0 - 0.5 * th**2 - np.cos(th)) / th**4)
-    c3 = np.where(small, -_alternating_series(t2, 5), (th - np.sin(th) - th**3 / 6.0) / th**5)
-    return c1, c2, c3
-
-
 def se3_right_jacobian_inv_many(tau: np.ndarray) -> np.ndarray:
-    """(N,6) -> (N,6,6) inverse right Jacobians: d/d eps Log(Exp(tau) Exp(eps))
-    at eps=0 is the inverse of each.
-
-    Built as the inverse left Jacobian at -tau (Barfoot's closed form), whose
-    Q block uses series below Q_SERIES_MAX_ANGLE.
+    """(N,6) -> (N,6,6) inverse right Jacobians to first order, I + ad(tau)/2
+    with ad([rho, phi]) = [[phi^, rho^], [0, phi^]] (Barfoot, 2017): d/d eps
+    Log(Exp(tau) Exp(eps)) at eps=0 is their inverse to O(|tau|^2). That is
+    enough for pgo, whose residuals are about 1e-2 or smaller: the Jacobian
+    steers its steps but not its cost, so the optimum moves by O(|tau|^3).
     """
-    rho, phi = -tau[:, :3], -tau[:, 3:]
-    c1, c2, c3 = _q_coefficients(_norm_rows(phi))
-    rx, px = _skew_many(rho), _skew_many(phi)
-    pr, rp = px @ rx, rx @ px
-    prp = pr @ px
-    Q = 0.5 * rx
-    Q += c1[:, None, None] * (pr + rp + prp)
-    Q -= c2[:, None, None] * (px @ pr + rp @ px - 3.0 * prp)
-    Q -= (0.5 * (c2 - 3.0 * c3))[:, None, None] * (prp @ px + px @ prp)
-    Jinv = _so3_V_inv_many(phi)
-    out = np.zeros((len(tau), 6, 6))
-    out[:, :3, :3] = Jinv
-    out[:, 3:, 3:] = Jinv
-    out[:, :3, 3:] = -Jinv @ Q @ Jinv
-    return out
+    ad = np.zeros((len(tau), 6, 6))
+    ad[:, :3, :3] = ad[:, 3:, 3:] = _skew_many(tau[:, 3:])
+    ad[:, :3, 3:] = _skew_many(tau[:, :3])
+    return np.eye(6) + 0.5 * ad
 
 
 # --- Pinhole projection -------------------------------------------------------

@@ -466,17 +466,21 @@ def _load_covariance(side: Path) -> np.ndarray:
     path = side / "odometry_covariance.csv"
     if not path.is_file():
         return default_odometry_covariance()
-    try:
-        vals = np.loadtxt(path, delimiter=",").reshape(-1)
-    except ValueError as e:
-        raise MalformedRecordError(f"bad covariance value: {e}", path=path)
-    if not np.all(np.isfinite(vals)):
-        raise MalformedRecordError("covariance value is not finite", path=path)
-    if vals.size != 36:
+    vals = []
+    with open(path, errors="replace") as fh:
+        for line, text in enumerate(fh, start=1):
+            try:
+                row = [float(c) for c in text.split(",")] if text.strip() else []
+            except ValueError as e:
+                raise MalformedRecordError(f"bad covariance value: {e}", path, line)
+            if not all(map(math.isfinite, row)):
+                raise MalformedRecordError("covariance value is not finite", path, line)
+            vals += row
+    if len(vals) != 36:
         raise MalformedRecordError(
-            f"expected 36 covariance values, got {vals.size}", path=path
+            f"expected 36 covariance values, got {len(vals)}", path=path
         )
-    cov = vals.reshape(6, 6)
+    cov = np.reshape(vals, (6, 6))
     if not np.allclose(cov, cov.T, atol=1e-12):
         raise InvariantError("odometry covariance is not symmetric", path=path)
     if np.linalg.eigvalsh(cov).min() <= 0:

@@ -28,6 +28,11 @@ the identity, for a prior, whose residual is thus Log(target^-1 T_node). One
 pass of seqloc.geometry's batched kernels gives the (M,6) residuals and their
 (M,6,6) Jacobian blocks.
 
+First order. J_a = I + ad(e_k)/2, the inverse right Jacobian of e_k to
+O(|e|^2), and J_b = -J_a Ad((T_b^-1 T_a)^-1). They steer the steps while the
+cost stays exact, so at residuals of about 1e-2 the optimum moves by O(|e|^3)
+and the iteration counts are those of the exact Jacobian.
+
 O(N) solve. Node i meets only nodes i - 1 and i + 1, through its odometry
 edges; a prior touches its node alone. The normal equations over the free
 nodes are therefore block tridiagonal: (n-1,6,6) diagonal blocks and

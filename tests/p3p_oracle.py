@@ -11,6 +11,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from helpers import pose_allclose
 from seqloc.geometry import CameraIntrinsics, Pose, boxplus, project_many_with_jacobian
 
 
@@ -91,7 +92,7 @@ def p3p(points3d, pixels, K: CameraIntrinsics) -> list[Pose]:
         T = polish_minimal(_kabsch(pts, cam_pts), pts, pix, K)
         if T is None:
             continue
-        if any(T.allclose(p, atol=1e-7) for p in poses):
+        if any(pose_allclose(T, p, atol=1e-7) for p in poses):
             continue
         poses.append(T)
     return poses

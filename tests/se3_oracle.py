@@ -4,11 +4,14 @@ The batched kernels of seqloc.geometry and the array evaluation of
 seqloc.pgo replaced this code; the tests keep it as their reference: the
 scalar Log (rotvec, so3_V_inv, se3_log, boxminus), Shepperd's
 matrix-to-quaternion conversion, a pose applied to points, pinhole projection
-with its Jacobian and the SE(3) Jacobians. optimize here is pgo.optimize as
-it was: per-factor Pose arithmetic and one dense normal-equation solve, run
-by the same Levenberg-Marquardt loop with the whole Hessian as a single
-block. It reads the factors of the array graph that pgo.build_graph makes,
-one row at a time, each inverted measurement turned back into a Pose.
+with its Jacobian and the SE(3) Jacobians: the exact inverse right Jacobian
+(Barfoot's closed form, its Q block's coefficients in mpmath) and the first
+order I + ad/2 that pgo linearizes with. optimize here is pgo.optimize as it
+was: per-factor Pose arithmetic, the exact Jacobian and one dense
+normal-equation solve, run by the same Levenberg-Marquardt loop with the
+whole Hessian as a single block. It reads the factors of the array graph that
+pgo.build_graph makes, one row at a time, each inverted measurement turned
+back into a Pose.
 """
 
 from __future__ import annotations
@@ -209,16 +212,27 @@ def se3_right_jacobian_inv(tau) -> np.ndarray:
     return out
 
 
+def se3_right_jacobian_inv_first_order(tau) -> np.ndarray:
+    """The inverse right Jacobian to first order, I + ad(tau)/2, with
+    ad([rho, phi]) = [[phi^, rho^], [0, phi^]]."""
+    tau = np.asarray(tau, dtype=float).reshape(6)
+    ad = np.zeros((6, 6))
+    ad[:3, :3] = ad[3:, 3:] = _skew(tau[3:])
+    ad[:3, 3:] = _skew(tau[:3])
+    return np.eye(6) + 0.5 * ad
+
+
 def residual(measurement: Pose, T_a: Pose, T_b: Pose) -> np.ndarray:
     """e = (T_b^-1 T_a) boxminus measurement, for the edge between a=i, b=i+1."""
     return boxminus(T_b.inverse().compose(T_a), measurement)
 
 
-def residual_with_jacobians(measurement: Pose, T_a: Pose, T_b: Pose):
-    """Residual plus its 6x6 Jacobians w.r.t. right perturbations of both nodes."""
+def residual_with_jacobians(measurement: Pose, T_a: Pose, T_b: Pose, jr_inv=se3_right_jacobian_inv):
+    """Residual plus its 6x6 Jacobians w.r.t. right perturbations of both
+    nodes, with jr_inv as the inverse right Jacobian."""
     X = T_b.inverse().compose(T_a)
     e = boxminus(X, measurement)
-    Jinv = se3_right_jacobian_inv(e)
+    Jinv = jr_inv(e)
     J_a = Jinv
     J_b = -Jinv @ adjoint(X.inverse())
     return e, J_a, J_b
@@ -233,21 +247,24 @@ class Factor(NamedTuple):
     info: np.ndarray
 
 
-def evaluate(graph: PoseGraph, nodes: list[Pose]) -> tuple[float, tuple[list[Factor], np.ndarray]]:
+def evaluate(
+    graph: PoseGraph, nodes: list[Pose], jr_inv=se3_right_jacobian_inv
+) -> tuple[float, tuple[list[Factor], np.ndarray]]:
     """Total robust cost at nodes, and every factor (the edges, then the priors)
-    with its Huber IRLS weight. Raises RotationSingularity (a ValueError) when
-    a residual is undefined.
+    with its Huber IRLS weight, linearized with jr_inv as the inverse right
+    Jacobian. Raises RotationSingularity (a ValueError) when a residual is
+    undefined.
     """
     factors = []
     zq, zt = graph.z_inv
     for k, (a, b) in enumerate(zip(graph.a.tolist(), graph.b.tolist())):
         z = Pose(Quaternion(*zq[k].tolist()), zt[k]).inverse()
         if k < graph.n_edges:
-            e, Ja, Jb = residual_with_jacobians(z, nodes[a], nodes[b])
+            e, Ja, Jb = residual_with_jacobians(z, nodes[a], nodes[b], jr_inv)
             factors.append(Factor((a, b), e, (Ja, Jb), graph.info[k]))
         else:
             e = boxminus(nodes[a], z)
-            factors.append(Factor((a,), e, (se3_right_jacobian_inv(e),), graph.info[k]))
+            factors.append(Factor((a,), e, (jr_inv(e),), graph.info[k]))
     rho, w = huber([float(f.e @ f.info @ f.e) for f in factors], HUBER_THRESHOLD)
     # Python's sum, unlike np.sum, adds in factor order.
     return float(sum(rho)), (factors, w)

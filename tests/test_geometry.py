@@ -25,11 +25,11 @@ from seqloc.geometry import (
     se3_log_many,
     se3_right_jacobian_inv_many,
 )
-from seqloc.geometry import _matrix_quat, _q_coefficients, _quat_matrix, _quat_multiply
+from seqloc.geometry import _matrix_quat, _quat_matrix, _quat_multiply
 from seqloc.geometry import _skew, _skew_many, _so3_V, _so3_V_many
 
 import se3_oracle
-from conftest import random_pose, random_quaternion
+from helpers import pose_allclose, quat_allclose, random_pose, random_quaternion
 from se3_oracle import apply, apply_many, boxminus, project, project_with_jacobian, se3_log
 
 
@@ -70,12 +70,12 @@ def matrix_log_tangent(T: Pose) -> np.ndarray:
 class TestCompose:
     def test_identity(self, rng):
         T = random_pose(rng)
-        assert T.compose(Pose.identity()).allclose(T)
-        assert Pose.identity().compose(T).allclose(T)
+        assert pose_allclose(T.compose(Pose.identity()), T)
+        assert pose_allclose(Pose.identity().compose(T), T)
 
     def test_inverse_gives_identity(self, rng):
         T = random_pose(rng)
-        assert T.compose(T.inverse()).allclose(Pose.identity(), atol=1e-9)
+        assert pose_allclose(T.compose(T.inverse()), Pose.identity(), atol=1e-9)
 
     def test_rotation_then_translation(self):
         # Rz(90deg) with t=(1,0,0) composed with a pure +y translation.
@@ -98,12 +98,12 @@ class TestCompose:
             a, b, c = (random_pose(rng) for _ in range(3))
             lhs = a.compose(b).compose(c)
             rhs = a.compose(b.compose(c))
-            assert lhs.allclose(rhs, atol=1e-12)
+            assert pose_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestInverse:
     def test_identity(self):
-        assert Pose.identity().inverse().allclose(Pose.identity())
+        assert pose_allclose(Pose.identity().inverse(), Pose.identity())
 
     def test_pure_translation(self):
         T = Pose(Quaternion.identity(), [1.0, -2.0, 3.0])
@@ -142,12 +142,12 @@ class TestBoxOps:
 
     def test_boxplus_zero(self, rng):
         T = random_pose(rng)
-        assert boxplus(T, np.zeros(6)).allclose(T)
+        assert pose_allclose(boxplus(T, np.zeros(6)), T)
 
     def test_boxplus_pure_translation(self):
         got = boxplus(Pose.identity(), [0.5, -1.0, 2.0, 0, 0, 0])
         np.testing.assert_allclose(got.translation, [0.5, -1.0, 2.0])
-        assert got.rotation.allclose(Quaternion.identity())
+        assert quat_allclose(got.rotation, Quaternion.identity())
 
     def test_roundtrip(self, rng):
         T = [random_pose(rng) for _ in range(200)]
@@ -159,7 +159,7 @@ class TestBoxOps:
         pairs = [(a, b) for a, b in pairs if b.inverse().compose(a).rotation.angle <= math.pi - 1e-3]
         a, b = [a for a, _ in pairs], [b for _, b in pairs]
         for got, want in zip(retract(b, log_between(a, b)), a):
-            assert got.allclose(want, atol=1e-9)
+            assert pose_allclose(got, want, atol=1e-9)
 
     def test_near_pi_rejected(self):
         a = Pose(Quaternion.from_axis_angle([1, 0, 0], math.pi - 1e-9), [0, 0, 0])
@@ -189,14 +189,14 @@ def test_boxminus_undoes_boxplus_property(T, d):
 @given(a=poses, b=poses)
 def test_boxplus_undoes_boxminus_property(a, b):
     assume(b.inverse().compose(a).rotation.angle < 3.0)
-    assert retract([b], log_between([a], [b]))[0].allclose(a, atol=1e-9)
+    assert pose_allclose(retract([b], log_between([a], [b]))[0], a, atol=1e-9)
 
 
 # --- batched kernels against the scalar maps -------------------------------------
 
 # Rotation angles (times a factor in [0.5, 1]) in every branch of the kernels:
-# the first-order quaternion below 1e-12, the series below 1e-9, 1e-6 and 1e-4,
-# and the closed forms up to 2.65e-6 rad short of pi.
+# the first-order quaternion below 1e-12, the series below 1e-9 and 1e-6, and
+# the closed forms up to 2.65e-6 rad short of pi.
 BRANCH_ANGLES = [0.0, 1e-13, 1e-12, 1e-9, 2e-9, 5e-7, 1e-6, 3e-5, 1e-4, 2e-4, 0.01, 0.5, 2.0, 3.1, 3.14159]
 unit_axes = vectors(3, 1.0).filter(lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
 branch_rotvecs = st.tuples(unit_axes, st.sampled_from(BRANCH_ANGLES), st.floats(0.5, 1.0)).map(
@@ -293,8 +293,22 @@ def test_jacobian_kernels_match_scalar(taus):
     poses = [se3_exp(tau) for tau in taus]
     A = adjoint_many(*pose_arrays(poses))
     for k, T in enumerate(poses):
-        assert_close(J[k], se3_oracle.se3_right_jacobian_inv(taus[k]))
+        assert (J[k] == se3_oracle.se3_right_jacobian_inv_first_order(taus[k])).all()
         assert_close(A[k], se3_oracle.adjoint(T))
+
+
+@kernel_property
+@given(
+    rho=vectors(3, 5.0),
+    axis=unit_axes,
+    angle=st.floats(0.0, 1.0),
+    scale=st.sampled_from([1e-6, 1e-3, 0.1, 1.0]),
+)
+def test_jacobian_kernel_is_exact_to_first_order(rho, axis, angle, scale):
+    # I + ad/2 leaves out ad^2/12 and higher terms: O(|tau|^2) for angles up to 1 rad.
+    tau = scale * np.concatenate([rho, angle * axis])
+    err = np.abs(se3_right_jacobian_inv_many(tau[None])[0] - se3_oracle.se3_right_jacobian_inv(tau)).max()
+    assert err <= 0.1 * (tau @ tau) + 1e-15
 
 
 def stored_quaternion(v: np.ndarray, kind: str, eps: float) -> Quaternion:
@@ -323,19 +337,6 @@ def test_quat_matrix_kernel_equals_scalar(draws):
     R = _quat_matrix(np.array([q.wxyz for q in qs]))
     for k, q in enumerate(qs):
         assert (R[k] == q.matrix).all()
-
-
-# Both sides of the Q series' former switch at 1e-4, of the new one at 1.0, and
-# the range in between where the closed forms cancel.
-Q_ANGLES = [0.0, 1e-6, 5e-5, 1.0001e-4, 2e-4, 5e-3, 2e-2, 0.3, 0.999, 1.0, 1.001, 2.0, 3.1]
-
-
-def test_q_coefficients_match_high_precision():
-    got = np.array(_q_coefficients(np.array(Q_ANGLES)))
-    for k, theta in enumerate(Q_ANGLES):
-        want = np.array(se3_oracle.q_coefficients(theta))
-        np.testing.assert_allclose(got[:, k], want, rtol=1e-12, atol=0)
-    assert se3_oracle.q_coefficients(5e-5)[1] < -0.0416  # c2 tends to -1/24
 
 
 @kernel_property
@@ -548,7 +549,7 @@ class TestQuaternion:
     def test_matrix_roundtrip(self, rng):
         for _ in range(200):
             q = random_quaternion(rng)
-            assert Quaternion.from_matrix(q.matrix).allclose(q, atol=1e-12)
+            assert quat_allclose(Quaternion.from_matrix(q.matrix), q, atol=1e-12)
 
     def test_rotate_matches_matrix(self, rng):
         q = random_quaternion(rng)

@@ -30,7 +30,7 @@ from seqloc.ingest import (
     write_match_file,
 )
 
-from conftest import random_pose
+from helpers import pose_allclose, random_pose
 
 K = CameraIntrinsics(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
 
@@ -181,7 +181,7 @@ class TestRigs:
                 assert (eo.as_array7() == eg.as_array7()).all()
             for cid, fo in orig.frames.items():
                 assert (fo.pose.as_array7() == got.frames[cid].pose.as_array7()).all()
-            assert got.pose.allclose(orig.pose, atol=1e-12)
+            assert pose_allclose(got.pose, orig.pose, atol=1e-12)
 
     def test_second_camera_off_its_rig_pose(self, rng, tmp_path):
         seq, refs, rig_defs = make_rig_dataset(rng)
@@ -278,9 +278,10 @@ class TestLoadErrors:
         ):
             np.savetxt(path, -np.eye(6), delimiter=",")
             if cell is not None:
-                edit_cell(path, 2, 3, cell)
-            with pytest.raises(error, match=match):
+                edit_cell(path, 2, 3, cell)  # row 2 of a file without a header: line 3
+            with pytest.raises(error, match=match) as info:
                 load_dataset(tmp_path)
+            assert info.value.record == (None if cell is None else 3)
 
     @pytest.mark.parametrize("junk", [b"\xff\xfe", b"x" * 200_000])
     def test_unreadable_table(self, rng, tmp_path, junk):

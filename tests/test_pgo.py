@@ -12,7 +12,7 @@ from seqloc.pgo import HUBER_THRESHOLD, PRIOR_SIGMA_SCALE, GraphBuildError, PgoM
 from seqloc.pose_estimation import PoseEstimate, PoseStatus
 from seqloc.solver import solve_block_tridiagonal
 
-from conftest import block_tridiagonal_dense, random_pose
+from helpers import block_tridiagonal_dense, pose_allclose, random_pose
 from se3_oracle import boxminus, residual, residual_with_jacobians
 
 COV = np.diag([0.005**2] * 3 + [math.radians(0.05) ** 2] * 3)
@@ -67,7 +67,7 @@ class TestBuildGraph:
         g = build_graph(ests, odom, COV)
         # hand composition: T(r<-0 est) * (Tq_0)^-1 * Tq_1
         expected = truth[0].compose(odom[0].inverse().compose(odom[1]))
-        assert g.nodes[1].allclose(expected, atol=1e-12)
+        assert pose_allclose(g.nodes[1], expected, atol=1e-12)
 
     def test_prior_augmented_adds_priors(self, rng):
         odom, truth = make_chain(rng, n=4)
@@ -171,7 +171,7 @@ class TestOptimize:
         assert rep.final_cost == rep.initial_cost or rep.final_cost < 1e-20
         assert rep.iterations == 0
         for got, want in zip(nodes, g.nodes):
-            assert got.allclose(want, atol=0)
+            assert pose_allclose(got, want, atol=0)
 
     def test_literal_mode_chain_oracle(self, rng):
         for trial in range(10):
@@ -257,7 +257,7 @@ class TestOptimize:
             g2 = build_graph(moved, odom, COV, mode=mode)
             n2, _ = optimize(g2, tol=1e-14)
             for a, b in zip(n1, n2):
-                assert G.compose(a).allclose(b, atol=1e-8)
+                assert pose_allclose(G.compose(a), b, atol=1e-8)
 
     def test_report_matches_huber_at_returned_nodes(self, rng):
         def huber(s):
@@ -301,6 +301,9 @@ class TestOptimize:
             )
 
 
+FIRST_ORDER = se3_oracle.se3_right_jacobian_inv_first_order
+
+
 def noisy_chain_graph(rng, n, mode, outliers=()):
     """Graph over an odometry chain with sigma-level noise, estimates near the
     truth but for the outliers, 1 m off; factors on both sides of HUBER_THRESHOLD."""
@@ -333,14 +336,16 @@ def damped(D, lam):
 
 class TestBatchedAgainstScalarOracle:
     """The array evaluation, block normal equations and solve against the
-    per-factor Pose code and dense solve they replaced (tests/se3_oracle.py)."""
+    per-factor Pose code and dense solve they replaced (tests/se3_oracle.py),
+    linearized with the same first-order Jacobian; optimize against the
+    oracle's, which linearizes with the exact one."""
 
     def test_evaluate_matches_oracle(self, rng):
         for mode in PgoMode:
             g = noisy_chain_graph(rng, 12, mode, outliers=(3,))
             nodes = perturbed_nodes(rng, g)
             cost, lin = pgo._evaluate(g, *pgo._node_arrays(nodes))
-            want_cost, (factors, w) = se3_oracle.evaluate(g, nodes)
+            want_cost, (factors, w) = se3_oracle.evaluate(g, nodes, FIRST_ORDER)
             assert w.min() < 1.0 == w.max()
             np.testing.assert_allclose(cost, want_cost, rtol=1e-12, atol=0)
             np.testing.assert_allclose(lin.w, w, rtol=1e-12, atol=0)
@@ -362,7 +367,7 @@ class TestBatchedAgainstScalarOracle:
             free = np.delete(np.arange(n), fixed)
             D, C, grad = pgo._normal_equations(g, lin, free)
             assert D.shape == (n - 1, 6, 6) and C.shape == (n - 2, 6, 6) and grad.shape == (n - 1, 6)
-            _, (factors, w) = se3_oracle.evaluate(g, nodes)
+            _, (factors, w) = se3_oracle.evaluate(g, nodes, FIRST_ORDER)
             H, want_g = se3_oracle.normal_equations(factors, w, se3_oracle.free_slots(g), 6 * (n - 1))
             scale = np.abs(H).max()
             np.testing.assert_allclose(block_tridiagonal_dense(D, C), H, rtol=0, atol=1e-12 * scale)
@@ -385,5 +390,5 @@ class TestBatchedAgainstScalarOracle:
         assert rep.converged and want.converged
         np.testing.assert_allclose(rep.final_cost, want.final_cost, rtol=1e-9, atol=1e-20)
         for got, ref in zip(nodes, want_nodes):
-            assert got.allclose(ref, atol=1e-9)
+            assert pose_allclose(got, ref, atol=1e-9)
         assert nodes[g.fixed] is g.nodes[g.fixed]

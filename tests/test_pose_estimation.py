@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import in_image
+from helpers import in_image, pose_allclose
 import p3p_oracle
 import seqloc.pose_estimation as pe
 from se3_oracle import apply_many, project, project_points, project_with_jacobian
@@ -58,7 +58,7 @@ class TestP3P:
         pix = np.array([project_all(T, x) for T, x in zip(Ts, X)])
         result = p3p(X, pix, K)
         for s, T in enumerate(Ts):
-            assert any(sol.allclose(T, atol=1e-9) for sol in solutions(result, s))
+            assert any(pose_allclose(sol, T, atol=1e-9) for sol in solutions(result, s))
 
     def test_collinear_rejected(self):
         X = np.array([[0, 0, 4.0], [0.1, 0, 4.0], [0.2, 0, 4.0]])
@@ -120,7 +120,7 @@ class TestP3P:
         T = random_camera(rng)
         X = scene_in_front(rng, T, 3)
         pix = project_all(T, X)
-        assert any(sol.allclose(T, atol=1e-9) for sol in solutions(p3p(X, pix, K), 0))
+        assert any(pose_allclose(sol, T, atol=1e-9) for sol in solutions(p3p(X, pix, K), 0))
         monkeypatch.setattr(np.linalg, "solve", lambda A, b: np.full(b.shape, np.nan))
         assert len(p3p(X, pix, K)[0]) == 0
 
@@ -133,7 +133,7 @@ class TestP3P:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        assert any(sol.allclose(T, atol=1e-6) for sol in solutions(p3p(X, pix, K), 0))
+        assert any(pose_allclose(sol, T, atol=1e-6) for sol in solutions(p3p(X, pix, K), 0))
 
 
 class TestDLT:
@@ -143,7 +143,7 @@ class TestDLT:
             X = scene_in_front(rng, T, 12)
             pix = project_all(T, X)
             Td = dlt_pnp(X, pix, K)
-            assert Td.allclose(T, atol=1e-9)
+            assert pose_allclose(Td, T, atol=1e-9)
 
     def test_too_few_points(self, rng):
         T = random_camera(rng)
@@ -202,13 +202,13 @@ class TestRefine:
     def test_already_optimal_unchanged(self, rng):
         T, X, pix, ci, views = self._problem(rng)
         out = refine_pose(T, X, pix, ci, views)
-        assert out.allclose(T, atol=1e-10)
+        assert pose_allclose(out, T, atol=1e-10)
 
     def test_recovers_from_perturbation(self, rng):
         T, X, pix, ci, views = self._problem(rng)
         T0 = boxplus(T, [0.05, 0, 0, 0, math.radians(2.0), 0])
         out = refine_pose(T0, X, pix, ci, views)
-        assert out.allclose(T, atol=1e-8)
+        assert pose_allclose(out, T, atol=1e-8)
 
     def test_noisy_cost_decreases(self, rng):
         T, X, pix, ci, views = self._problem(rng, noise=1.0)
@@ -255,7 +255,7 @@ class TestRefine:
         for max_iters in (1, 3, 50):
             got = refine_pose(T0, X, pix, ci, views, max_iters=max_iters, tol=1e-12)
             want = scalar_refine(T0, X, pix, ci, views, max_iters=max_iters, tol=1e-12)
-            assert not got.allclose(T0, atol=1e-6)
+            assert not pose_allclose(got, T0, atol=1e-6)
             np.testing.assert_allclose(got.as_array7(), want.as_array7(), rtol=0, atol=1e-9)
         assert np.isfinite(reprojection_errors(got, X, pix, ci, views)).all()
 
@@ -289,7 +289,7 @@ class TestRefine:
         monkeypatch.setattr(pe, "project_many_with_jacobian", spy)
         out = refine_pose(T0, X, pix, ci, views)
         assert in_front[0] and not all(in_front)
-        assert not out.allclose(T0, atol=1e-3)
+        assert not pose_allclose(out, T0, atol=1e-3)
         assert np.isfinite(reprojection_errors(out, X, pix, ci, views)).all()
 
 
@@ -374,7 +374,7 @@ class TestLoRansac:
             "f", np.array(pts_local), np.array(pixels), np.array(cam_idx), views, seed=0
         )
         assert est.status is PoseStatus.LOCALIZED
-        assert est.pose.allclose(T_true, atol=1e-6)
+        assert pose_allclose(est.pose, T_true, atol=1e-6)
 
     def test_dlt_fallback_when_p3p_degenerates(self, rng, monkeypatch):
         T, X, pix = self._clean(rng, n=15)
@@ -383,7 +383,7 @@ class TestLoRansac:
             "f", X, pix, np.zeros(15, dtype=int), [CameraView(K)], seed=0, max_iters=50
         )
         assert est.status is PoseStatus.LOCALIZED
-        assert est.pose.allclose(T, atol=1e-6)
+        assert pose_allclose(est.pose, T, atol=1e-6)
 
 
 def loop_errors(q, t, points, pixels, cam_idx, views):

@@ -10,7 +10,7 @@ import pytest
 from seqloc.pgo import HUBER_THRESHOLD
 from seqloc.solver import COST_FLOOR, MAX_TRIALS, huber, levenberg_marquardt, solve_block_tridiagonal
 
-from conftest import block_tridiagonal_dense
+from helpers import block_tridiagonal_dense
 
 
 def _huber_cost(e: np.ndarray, delta: float) -> float:

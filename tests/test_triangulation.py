@@ -23,7 +23,7 @@ from seqloc.triangulation import (
     triangulate_pair,
 )
 
-from conftest import in_image, random_pose
+from helpers import in_image, random_pose
 
 K = CameraIntrinsics(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
 DEG = math.pi / 180.0

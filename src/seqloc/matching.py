@@ -78,7 +78,16 @@ def match(
 
 
 def mutual_nn_match(a: Frame, b: Frame, ratio: float = 0.9, min_score: float = 0.7) -> MatchSet:
-    """Mutual nearest neighbors with a Lowe ratio test applied both ways."""
+    """Mutual nearest neighbors with a Lowe ratio test applied both ways.
+
+    The similarities are the descriptors' dot products. Filters, in order:
+    each row of a keeps its best column (the first on a tie); rows whose best
+    score is below min_score leave; a row stays only if it is also its
+    column's best (the first row on a tie); then the Lowe test below. The
+    min_score filter and the mutual test commute, so only the surviving rows'
+    columns are searched. When both frames have keypoints, raises
+    MatchingError if either lacks descriptors or their widths differ.
+    """
     empty = MatchSet(frame_a=a.frame_id, frame_b=b.frame_id)
     if len(a.keypoints) == 0 or len(b.keypoints) == 0:
         return empty
@@ -86,14 +95,19 @@ def mutual_nn_match(a: Frame, b: Frame, ratio: float = 0.9, min_score: float = 0
         raise MatchingError(
             f"descriptor matcher needs descriptors on both {a.frame_id} and {b.frame_id}"
         )
+    if a.descriptors.shape[1] != b.descriptors.shape[1]:
+        raise MatchingError(
+            f"descriptor widths differ: {a.descriptors.shape[1]} on {a.frame_id}, "
+            f"{b.descriptors.shape[1]} on {b.frame_id}"
+        )
     sims = a.descriptors @ b.descriptors.T
     best_b = np.argmax(sims, axis=1)
-    best_a = np.argmax(sims, axis=0)
-    ia = np.flatnonzero(best_a[best_b] == np.arange(len(best_b)))
-    ib = best_b[ia]
-    s = sims[ia, ib]
-    keep = s >= min_score
-    ia, ib, s = ia[keep], ib[keep], s[keep]
+    s = np.take_along_axis(sims, best_b[:, None], axis=1)[:, 0]
+    ia = np.flatnonzero(s >= min_score)
+    cols = sims[:, best_b[ia]]  # the candidates' columns, (n_a, m)
+    mutual = np.argmax(cols, axis=0) == ia
+    ia, cols = ia[mutual], cols[:, mutual]
+    ib, s = best_b[ia], s[ia]
     # Lowe test on descriptor distances (unit vectors: d^2 = 2 - 2s) against the
     # second best of the row and of the column, ties counted; one keypoint passes.
     d1 = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * s))
@@ -101,7 +115,7 @@ def mutual_nn_match(a: Frame, b: Frame, ratio: float = 0.9, min_score: float = 0
     if sims.shape[1] > 1:
         seconds.append(np.partition(sims[ia], -2, axis=1)[:, -2])
     if sims.shape[0] > 1:
-        seconds.append(np.partition(sims[:, ib], -2, axis=0)[-2])
+        seconds.append(np.partition(cols, -2, axis=0)[-2])
     keep = np.ones(len(s), dtype=bool)
     for second in seconds:
         d2 = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * second))
@@ -146,47 +160,48 @@ def synthetic_oracle_match(
 ) -> tuple[MatchSet, np.ndarray]:
     """Match keypoints sharing a scene-point id; optionally rewire outliers.
 
-    Returns the match set and the ground-truth inlier mask (False exactly for
-    the rewired rows). Rewiring keeps the set one-to-one by drawing targets
-    from unmatched keypoints of b; a row with no safely-distant target left
-    stays an inlier.
+    Returns the match set, in ascending idx_a, and the ground-truth inlier
+    mask (False exactly for the rewired rows). Rewiring keeps the set
+    one-to-one by drawing targets from unmatched keypoints of b; a row with no
+    safely-distant target left stays an inlier. Raises MatchingError when a
+    frame has no point ids or repeats one.
     """
-    if a.point_ids is None or b.point_ids is None:
-        raise MatchingError(
-            f"oracle matcher needs point ids on both {a.frame_id} and {b.frame_id}"
-        )
+    for f in (a, b):
+        if f.point_ids is None:
+            raise MatchingError(
+                f"oracle matcher needs point ids on both {a.frame_id} and {b.frame_id}"
+            )
+        ids = np.sort(f.point_ids)
+        repeats = ids[1:][ids[1:] == ids[:-1]]
+        if len(repeats):
+            raise MatchingError(f"point id {repeats[0]} repeats in {f.frame_id}")
     if rng is None:
         rng = np.random.default_rng(pair_seed(seed, a.frame_id, b.frame_id))
 
-    pos_b = {int(pid): j for j, pid in enumerate(b.point_ids)}
-    ia, ib = [], []
-    for i, pid in enumerate(a.point_ids):
-        j = pos_b.get(int(pid))
-        if j is not None:
-            ia.append(i)
-            ib.append(j)
-    idx_a = np.array(ia, dtype=int)
-    idx_b = np.array(ib, dtype=int)
+    _, idx_a, idx_b = np.intersect1d(a.point_ids, b.point_ids, assume_unique=True, return_indices=True)
+    order = np.argsort(idx_a)
+    idx_a, idx_b = idx_a[order], idx_b[order]
     inlier = np.ones(len(idx_a), dtype=bool)
 
     if outlier_rate > 0.0 and len(idx_a):
-        rewire = rng.random(len(idx_a)) < outlier_rate
-        targets = np.flatnonzero(rewire)
-        free = list(np.setdiff1d(np.arange(len(b.keypoints)), idx_b))
+        targets = np.flatnonzero(rng.random(len(idx_a)) < outlier_rate)
+        unmatched = np.ones(len(b.keypoints), dtype=bool)
+        unmatched[idx_b] = False
+        free = np.flatnonzero(unmatched)
         rng.shuffle(free)
         # A rewired target must land well away from the true correspondence,
-        # so a corrupted match can never be geometrically consistent.
+        # so a corrupted match can never be geometrically consistent: each
+        # row takes the first such free keypoint, in shuffled order.
         min_sep = 12.0
-        for t in targets:
-            true_kp = b.keypoints[idx_b[t]]
-            pick = None
-            for pos, j in enumerate(free):
-                if np.linalg.norm(b.keypoints[j] - true_kp) >= min_sep:
-                    pick = pos
-                    break
+        true_kp = b.keypoints[idx_b[targets]]
+        far = np.linalg.norm(b.keypoints[free] - true_kp[:, None], axis=2) >= min_sep
+        taken = set()
+        for t, far_t in zip(targets.tolist(), far.tolist()):
+            pick = next((k for k, ok in enumerate(far_t) if ok and k not in taken), None)
             if pick is None:
                 continue  # nowhere safe to rewire: row stays an inlier
-            idx_b[t] = free.pop(pick)
+            taken.add(pick)
+            idx_b[t] = free[pick]
             inlier[t] = False
 
     ms = MatchSet(

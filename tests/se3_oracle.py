@@ -7,11 +7,11 @@ matrix-to-quaternion conversion, a pose applied to points, pinhole projection
 with its Jacobian and the SE(3) Jacobians: the exact inverse right Jacobian
 (Barfoot's closed form, its Q block's coefficients in mpmath) and the first
 order I + ad/2 that pgo linearizes with. optimize here is pgo.optimize as it
-was: per-factor Pose arithmetic, the exact Jacobian and one dense
-normal-equation solve, run by the same Levenberg-Marquardt loop with the
-whole Hessian as a single block. It reads the factors of the array graph that
-pgo.build_graph makes, one row at a time, each inverted measurement turned
-back into a Pose.
+was: per-factor Pose arithmetic, the Jacobian it is given (the exact one by
+default) and one dense normal-equation solve, run by the same
+Levenberg-Marquardt loop with the whole Hessian as a single block. It reads
+the factors of the array graph that pgo.build_graph makes, one row at a time,
+each inverted measurement turned back into a Pose.
 """
 
 from __future__ import annotations
@@ -296,7 +296,9 @@ def free_slots(graph: PoseGraph) -> dict[int, int]:
     return {node: k for k, node in enumerate(free)}
 
 
-def optimize(graph: PoseGraph, max_iters: int = 100, tol: float = 1e-9) -> tuple[list[Pose], PgoReport]:
+def optimize(
+    graph: PoseGraph, max_iters: int = 100, tol: float = 1e-9, jr_inv=se3_right_jacobian_inv
+) -> tuple[list[Pose], PgoReport]:
     slot = free_slots(graph)
     dim = 6 * len(slot)
 
@@ -312,7 +314,7 @@ def optimize(graph: PoseGraph, max_iters: int = 100, tol: float = 1e-9) -> tuple
         return out
 
     nodes, (_, w), rep = levenberg_marquardt(
-        list(graph.nodes), lambda nodes: evaluate(graph, nodes), dense_blocks, retract, max_iters, tol
+        list(graph.nodes), lambda nodes: evaluate(graph, nodes, jr_inv), dense_blocks, retract, max_iters, tol
     )
     m = graph.n_edges
     return nodes, PgoReport(*rep, w[:m].tolist(), w[m:].tolist())

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from seqloc.geometry import CameraIntrinsics
 from seqloc.ingest import Frame, MissingFileError, write_match_file, match_file_path
@@ -161,6 +164,43 @@ class TestMutualNN:
         with pytest.raises(MatchingError):
             match(a, b, MatcherKind.DESCRIPTOR_MNN)
 
+    def test_descriptor_widths_differ(self, rng):
+        a = frame_with(rng, "a", 5, desc=random_unit_descs(rng, 5, dim=16))
+        b = frame_with(rng, "b", 5, desc=random_unit_descs(rng, 5, dim=8))
+        with pytest.raises(MatchingError, match="16 on a, 8 on b"):
+            match(a, b, MatcherKind.DESCRIPTOR_MNN)
+
+
+@st.composite
+def descriptor_pairs(draw):
+    """Small-integer descriptors of any norm, so that rows and columns tie exactly."""
+    n_a, n_b, dim = draw(st.integers(1, 30)), draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    ints = st.integers(-2, 2)
+    return (
+        draw(arrays(np.int64, (n_a, dim), elements=ints)).astype(float),
+        draw(arrays(np.int64, (n_b, dim), elements=ints)).astype(float),
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    descs=descriptor_pairs(),
+    min_score=st.one_of(st.integers(-4, 8).map(float), st.floats(-4.0, 8.0)),
+    ratio=st.one_of(st.sampled_from([0.0, 0.5, 1.0, math.inf]), st.floats(0.0, 2.0)),
+)
+def test_mutual_nn_matches_loop_oracle_property(descs, min_score, ratio):
+    da, db = descs
+    rng = np.random.default_rng(0)
+    ms = mutual_nn_match(
+        frame_with(rng, "a", len(da), desc=da),
+        frame_with(rng, "b", len(db), desc=db),
+        ratio=ratio,
+        min_score=min_score,
+    )
+    for got, want in zip((ms.idx_a, ms.idx_b, ms.scores), loop_mutual_nn(da, db, ratio, min_score)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
 
 class TestPrecomputed:
     def test_reads_forward_and_swapped(self, rng, tmp_path):
@@ -222,6 +262,14 @@ class TestOracle:
         b = frame_with(rng, "b", 5, point_ids=np.arange(5))
         with pytest.raises(MatchingError):
             match(a, b, MatcherKind.SYNTHETIC_ORACLE)
+
+    def test_repeated_point_id(self, rng):
+        a = frame_with(rng, "a", 5, point_ids=np.arange(5))
+        b = frame_with(rng, "b", 5, point_ids=np.array([4, 3, 9, 3, 0]))
+        with pytest.raises(MatchingError, match="point id 3 repeats in b"):
+            synthetic_oracle_match(a, b)
+        with pytest.raises(MatchingError, match="point id 3 repeats in b"):
+            synthetic_oracle_match(b, a)
 
     def test_one_to_one_under_outliers(self, rng):
         for seed in range(10):

@@ -10,7 +10,7 @@ from seqloc import pgo
 from seqloc.geometry import Pose, Quaternion, boxplus, se3_exp
 from seqloc.pgo import HUBER_THRESHOLD, PRIOR_SIGMA_SCALE, GraphBuildError, PgoMode, build_graph, optimize
 from seqloc.pose_estimation import PoseEstimate, PoseStatus
-from seqloc.solver import solve_block_tridiagonal
+from seqloc.solver import levenberg_marquardt, solve_block_tridiagonal
 
 from helpers import block_tridiagonal_dense, pose_allclose, random_pose
 from se3_oracle import boxminus, residual, residual_with_jacobians
@@ -326,6 +326,23 @@ def perturbed_nodes(rng, g):
     return [boxplus(T, rng.normal(scale=[0.002] * 3 + [math.radians(0.02)] * 3)) for T in g.nodes]
 
 
+def recording_lm(costs):
+    """levenberg_marquardt that appends to costs the initial cost and the cost
+    after each accepted step: a step is accepted exactly when its cost is below
+    the last accepted one."""
+
+    def lm(x, evaluate, *args):
+        def recorded(x):
+            cost, state = evaluate(x)
+            if not costs or cost < costs[-1]:
+                costs.append(cost)
+            return cost, state
+
+        return levenberg_marquardt(x, recorded, *args)
+
+    return lm
+
+
 def damped(D, lam):
     """The LM loop's damping of each diagonal block."""
     dims = np.arange(D.shape[-1])
@@ -337,8 +354,9 @@ def damped(D, lam):
 class TestBatchedAgainstScalarOracle:
     """The array evaluation, block normal equations and solve against the
     per-factor Pose code and dense solve they replaced (tests/se3_oracle.py),
-    linearized with the same first-order Jacobian; optimize against the
-    oracle's, which linearizes with the exact one."""
+    linearized with the same first-order Jacobian; optimize step by step
+    against the oracle's with that Jacobian, and to its optimum against the
+    oracle's with the exact one."""
 
     def test_evaluate_matches_oracle(self, rng):
         for mode in PgoMode:
@@ -380,14 +398,34 @@ class TestBatchedAgainstScalarOracle:
                 np.testing.assert_allclose(x.ravel(), want, rtol=0, atol=1e-9 * np.abs(want).max())
 
     @pytest.mark.parametrize("mode", list(PgoMode))
-    def test_optimize_matches_oracle_on_100_nodes(self, mode):
+    def test_optimize_matches_oracle_on_100_nodes(self, mode, monkeypatch):
         rng = np.random.default_rng(100)
         g = noisy_chain_graph(rng, 100, mode, outliers=(17, 60))
+        costs, first_order_costs = [], []
+        monkeypatch.setattr(pgo, "levenberg_marquardt", recording_lm(costs))
         nodes, rep = optimize(g)
+        monkeypatch.setattr(se3_oracle, "levenberg_marquardt", recording_lm(first_order_costs))
+        first_order_nodes, first_order = se3_oracle.optimize(g, jr_inv=FIRST_ORDER)
+        monkeypatch.undo()
         want_nodes, want = se3_oracle.optimize(g)
         weights = se3_oracle.evaluate(g, g.nodes)[1][1]
         assert weights.min() < 1.0 == weights.max()  # both Huber branches at the start
-        assert rep.converged and want.converged
+        assert rep.converged and first_order.converged and want.converged
+        # The first-order oracle's steps: the weighted residual norm after each
+        # accepted step agrees to 1e-9, or to 1e-10, some 30 times its rounding
+        # on this graph. The paper-literal chain has an exact solution, and both
+        # polish rounding there for a number of steps that rounding decides.
+        assert len(costs) == rep.iterations + 1 and len(first_order_costs) == first_order.iterations + 1
+        norms, ref_norms = np.sqrt(costs), np.sqrt(first_order_costs)
+        if mode is PgoMode.PRIOR_AUGMENTED:
+            assert rep.iterations == first_order.iterations > 5
+        else:
+            assert (norms > 1e-10).sum() == (ref_norms > 1e-10).sum() > 5
+        m = min(len(norms), len(ref_norms))
+        np.testing.assert_allclose(norms[:m], ref_norms[:m], rtol=1e-9, atol=1e-10)
+        for got, ref in zip(nodes, first_order_nodes):
+            assert pose_allclose(got, ref, atol=1e-9)
+        # the exact Jacobian's optimum
         np.testing.assert_allclose(rep.final_cost, want.final_cost, rtol=1e-9, atol=1e-20)
         for got, ref in zip(nodes, want_nodes):
             assert pose_allclose(got, ref, atol=1e-9)

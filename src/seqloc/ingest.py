@@ -20,6 +20,11 @@ are treated as single-camera rigs. Frame instance ids must sort temporally,
 with digit runs compared as numbers ("q9" before "q10").
 Every camera's odometry pose in an instance must equal the rig pose composed
 with that camera's extrinsic, to within RIG_TOL_M and RIG_TOL_RAD.
+
+Two parsers read the files: the all-numeric per-keypoint and match files are
+parsed in one np.loadtxt call, and the tables that hold strings, as well as
+any numeric file that loadtxt cannot vouch for, are walked cell by cell with
+the csv module, which names the line of a fault.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import csv
 import logging
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,6 +124,9 @@ def default_odometry_covariance() -> np.ndarray:
 
 _POSE_COLUMNS = ("qw", "qx", "qy", "qz", "tx", "ty", "tz")
 
+# Integer columns of the per-keypoint and match files; their other columns are floats.
+_INT_COLUMNS = frozenset({"idx", "point_id", "idxA", "idxB"})
+
 # Per-keypoint files: directory name (also the Frame attribute) -> leading columns.
 _PER_KEYPOINT = {
     "keypoints": ("idx", "u", "v"),
@@ -145,6 +154,15 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _check_header(header: list[str], path: Path, expected_header) -> None:
+    if len(set(header)) != len(header):
+        raise MalformedRecordError(f"header {header} repeats a column name", path, 1)
+    if header[: len(expected_header)] != list(expected_header):
+        raise MalformedRecordError(
+            f"header {header} does not start with {list(expected_header)}", path, 1
+        )
+
+
 def _read_table(path: Path, expected_header=()) -> _Table:
     """Read a CSV file, checking its header and the field count of every row."""
     if not path.is_file():
@@ -154,12 +172,7 @@ def _read_table(path: Path, expected_header=()) -> _Table:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
-            if len(set(header)) != len(header):
-                raise MalformedRecordError(f"header {header} repeats a column name", path, 1)
-            if header[: len(expected_header)] != list(expected_header):
-                raise MalformedRecordError(
-                    f"header {header} does not start with {list(expected_header)}", path, 1
-                )
+            _check_header(header, path, expected_header)
             for lineno, raw in enumerate(reader, start=2):
                 cells = [c.strip() for c in raw]
                 if not any(cells):
@@ -209,6 +222,88 @@ def _block(table: _Table, columns, dtype=float) -> np.ndarray:
             )
 
 
+class _NumericTable:
+    """An all-numeric CSV file, its body parsed by one np.loadtxt call.
+
+    The header is read and checked as in _read_table. The file goes to
+    _read_table, and its blocks to _block, wherever loadtxt cannot vouch that
+    it reads what they would: when the body is not ASCII, a line may hold a
+    field over the csv module's size limit, loadtxt raises or warns, or a
+    value is not finite. So every file loads, or fails with the same error
+    and line, as through _read_table.
+    """
+
+    def __init__(self, path: Path, expected_header):
+        self.path = path
+        self.expected_header = expected_header
+        self.header, self.body = self._loadtxt()
+        self._table = None
+        if self.body is None:
+            self._table = _read_table(path, expected_header)
+            self.header = self._table.header
+
+    def _loadtxt(self) -> tuple[list[str], np.ndarray | None]:
+        """The header, and the body as a structured array with one field per column.
+
+        The body is None where the file must go to _read_table.
+        """
+        header = []
+        try:
+            with open(self.path, newline="") as fh:
+                header = [h.strip() for h in next(csv.reader(fh))]
+                _check_header(header, self.path, self.expected_header)
+                text = fh.read()
+        except (OSError, StopIteration, csv.Error, UnicodeDecodeError):
+            return header, None
+        # numpy's loadtxt can crash on a cell that is not ASCII (seen with numpy
+        # 2.4 on "\U000f9b1d" in an integer column); no number needs one.
+        if not text.isascii():
+            return header, None
+        lines = text.split("\n")
+        if max(map(len, lines)) > csv.field_size_limit():
+            return header, None
+        is_int = [h in _INT_COLUMNS for h in header]
+        dtype = np.dtype(
+            {
+                "names": [f"c{j}" for j in range(len(is_int))],
+                "formats": [np.int64 if i else np.float64 for i in is_int],
+            }
+        )
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # e.g. "input contained no data"
+                body = np.loadtxt(
+                    lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
+                )
+        except (ValueError, Warning):
+            return header, None
+        cells = body.view(np.float64).reshape(len(body), len(is_int))
+        if not np.isfinite(cells[:, np.logical_not(is_int)]).all():
+            return header, None
+        return header, body
+
+    def __len__(self) -> int:
+        return len(self.body) if self._table is None else len(self._table.rows)
+
+    def block(self, columns, dtype=float) -> np.ndarray:
+        """The named columns as one (rows, columns) array, as _block gives them."""
+        parsed_as_dtype = all((c in _INT_COLUMNS) == (dtype is np.int64) for c in columns)
+        if self._table is not None or not parsed_as_dtype:
+            return _block(self._csv_table(), columns, dtype)
+        cols = [self.header.index(c) for c in columns]
+        return self.body.view(dtype).reshape(len(self.body), len(self.header))[:, cols]
+
+    def line_numbers(self) -> list[int]:
+        """The line of each body row, from _read_table: blank lines are not rows."""
+        return self._csv_table().lines
+
+    def _csv_table(self) -> _Table:
+        """The file through _read_table, read on first use after a clean loadtxt parse."""
+        if self._table is None:
+            self._table = _read_table(self.path, self.expected_header)
+        return self._table
+
+
 def _write_table(path: Path, header, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -232,9 +327,9 @@ def _parse_pose_fields(table: _Table) -> list[Pose | None]:
 
 def read_match_file(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The idxA, idxB and score columns of a match file."""
-    table = _read_table(path, ("idxA", "idxB", "score"))
-    idx = _block(table, ("idxA", "idxB"), np.int64)
-    return idx[:, 0], idx[:, 1], _block(table, ("score",))[:, 0]
+    table = _NumericTable(path, ("idxA", "idxB", "score"))
+    idx = table.block(("idxA", "idxB"), np.int64)
+    return idx[:, 0], idx[:, 1], table.block(("score",))[:, 0]
 
 
 def write_match_file(path: Path, rows: list[tuple[int, int, float]]) -> None:
@@ -271,24 +366,24 @@ def _load_per_keypoint(side: Path, frame: Frame, kind: str) -> None:
     path = side / kind / f"{frame.frame_id.replace('/', '+')}.csv"
     if not path.is_file():
         return
-    table = _read_table(path, _PER_KEYPOINT[kind])
-    n = len(table.rows)
+    table = _NumericTable(path, _PER_KEYPOINT[kind])
+    n = len(table)
     if kind != "keypoints" and n != len(frame.keypoints):
         raise InvariantError(
             f"{n} rows of {kind} for {len(frame.keypoints)} keypoints in {frame.frame_id}",
             path=path,
         )
-    idx = _block(table, ("idx",), np.int64)[:, 0]
+    idx = table.block(("idx",), np.int64)[:, 0]
     if not np.array_equal(np.sort(idx), np.arange(n)):
         seen = set()
-        for i, line in zip(idx.tolist(), table.lines):
+        for i, line in zip(idx.tolist(), table.line_numbers()):
             if not 0 <= i < n or i in seen:
                 fault = "repeated" if i in seen else f"outside [0, {n})"
                 raise MalformedRecordError(f"idx {i} {fault}", path=path, record=line)
             seen.add(i)
 
     columns = _PER_KEYPOINT[kind][1:] or table.header[1:]
-    values = _block(table, columns, np.int64 if kind == "point_ids" else float)
+    values = table.block(columns, np.int64 if kind == "point_ids" else float)
     if kind == "keypoints":
         u, v = values.T
         inside = (u >= 0) & (u < frame.intrinsics.width) & (v >= 0) & (v < frame.intrinsics.height)
@@ -297,7 +392,7 @@ def _load_per_keypoint(side: Path, frame: Frame, kind: str) -> None:
             raise InvariantError(
                 f"keypoint ({u[r]}, {v[r]}) outside image bounds of {frame.frame_id}",
                 path=path,
-                record=table.lines[r],
+                record=table.line_numbers()[r],
             )
     ordered = np.empty_like(values)
     ordered[idx] = values
@@ -337,14 +432,21 @@ def _load_side(side: Path, *, query_side: bool) -> list[Frame]:
         table = _read_table(gd_path, ("frame_id",))
         vectors = _block(table, table.header[1:])
         for (frame_id, *_), line, g in zip(table.rows, table.lines, vectors):
+            if frame_id not in by_id:
+                raise InvariantError(
+                    f"global descriptor of unknown frame {frame_id!r}", path=gd_path, record=line
+                )
+            if by_id[frame_id].global_descriptor is not None:
+                raise InvariantError(
+                    f"second global descriptor of {frame_id!r}", path=gd_path, record=line
+                )
             with np.errstate(over="ignore"):  # an overflowing norm fails the check below
                 n = np.linalg.norm(g)
             if abs(n - 1.0) > 1e-3:
                 raise InvariantError(
                     f"global descriptor of {frame_id} has norm {n:.4f}", path=gd_path, record=line
                 )
-            if frame_id in by_id:
-                by_id[frame_id].global_descriptor = g / n
+            by_id[frame_id].global_descriptor = g / n
     return frames
 
 

@@ -4,12 +4,13 @@ import csv
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqloc.geometry import CameraIntrinsics, Pose, Quaternion
@@ -21,6 +22,9 @@ from seqloc.ingest import (
     MissingFileError,
     QuerySequence,
     Rig,
+    _block,
+    _NumericTable,
+    _read_table,
     batch,
     geodetic_to_local,
     load_dataset,
@@ -167,6 +171,16 @@ class TestRoundTrip:
         idx_a, idx_b, scores = read_match_file(path)
         assert path.name == "q0001+cam1__r0000.csv"
         assert list(zip(idx_a.tolist(), idx_b.tolist(), scores.tolist())) == rows
+
+    def test_header_only_match_file_warns_nothing(self, tmp_path):
+        path = match_file_path(tmp_path, "qa", "rb")
+        write_match_file(path, [])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            idx_a, idx_b, scores = read_match_file(path)
+        assert caught == []
+        assert (idx_a.shape, idx_a.dtype) == ((0,), np.int64)
+        assert (scores.shape, scores.dtype) == ((0,), np.float64)
 
 
 class TestRigs:
@@ -315,6 +329,21 @@ class TestLoadErrors:
         with pytest.raises(MalformedRecordError, match=r"global_descriptors\.csv:3\]"):
             load_dataset(tmp_path)
 
+    def test_global_descriptor_of_unknown_frame(self, rng, tmp_path):
+        save_with_point_ids(rng, tmp_path)
+        edit_cell(tmp_path / "queries" / "global_descriptors.csv", 2, 0, "q9999")
+        with pytest.raises(InvariantError, match=r"'q9999'.*global_descriptors\.csv:3\]"):
+            load_dataset(tmp_path)
+
+    def test_repeated_global_descriptor(self, rng, tmp_path):
+        save_with_point_ids(rng, tmp_path)
+        path = tmp_path / "references" / "global_descriptors.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[1]]) + "\n")
+        locus = rf"global_descriptors\.csv:{len(lines) + 1}\]"
+        with pytest.raises(InvariantError, match="'r0000'.*" + locus):
+            load_dataset(tmp_path)
+
     @pytest.mark.parametrize("col, cell", [(2, "nan"), (0, "1.5"), (0, "x"), (1, "")])
     def test_malformed_match_row(self, tmp_path, col, cell):
         path = match_file_path(tmp_path, "qa", "rb")
@@ -368,6 +397,119 @@ def test_fuzzed_per_keypoint_cell_loads_or_raises_dataset_error(kind, row, col, 
             load_dataset(d)
         except DatasetError:
             pass
+
+
+# The all-numeric files: the header their loaders expect, and the blocks they
+# ask for (None: every column after idx).
+NUMERIC_FILES = {
+    "keypoints": (("idx", "u", "v"), [(("idx",), np.int64), (("u", "v"), float)]),
+    "descriptors": (("idx",), [(("idx",), np.int64), (None, float)]),
+    "point_ids": (("idx", "point_id"), [(("idx",), np.int64), (("point_id",), np.int64)]),
+    "matches": (("idxA", "idxB", "score"), [(("idxA", "idxB"), np.int64), (("score",), float)]),
+}
+NUMERIC_ROWS = {  # header and three rows
+    "keypoints": [["idx", "u", "v"], ["0", "12.5", "7"], ["1", "600.25", "0.0"], ["2", "3e2", "479.5"]],
+    "descriptors": [["idx", "d0", "d1"], ["0", "3", "0.6"], ["1", "-0", "-0.8"], ["2", "12", "5e-324"]],
+    "point_ids": [["idx", "point_id"], ["0", "9223372036854775807"], ["1", "-7"], ["2", "0"]],
+    "matches": [["idxA", "idxB", "score"], ["0", "3", "1.0"], ["2", "5", "0.1"], ["7", "1", "0.5"]],
+}
+OVER_LONG_NUMBER = "0." + "0" * 131072 + "1"  # finite, but over csv.field_size_limit()
+CELLS = st.one_of(
+    st.sampled_from(
+        ['"1"', "1_5", "\u0661\u0662", "1#", "#", "1\x002", "2.0", "Infinity", "-nan", " 4 ", ""]
+    ),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+def numeric_case(kind, row, col, cell, line=None, extra_field=False, newline="\n", bom=False):
+    """One explicit example for test_numeric_reader_agrees_with_csv_walk."""
+    fields = dict(line=line, extra_field=extra_field, newline=newline, bom=bom)
+    return example(kind=kind, row=row, col=col, cell=cell, **fields)
+
+
+def numeric_outcome(read):
+    """The blocks `read` gives, as (dtype, shape, bytes), or its DatasetError's class and record."""
+    try:
+        return [(b.dtype, b.shape, b.tobytes()) for b in read()]
+    except DatasetError as e:
+        return type(e), e.record
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(NUMERIC_FILES)),
+    row=st.integers(0, 3),
+    col=st.integers(0, 2),
+    cell=st.one_of(st.none(), CELLS),  # None: the cell stays
+    line=st.one_of(st.none(), st.sampled_from(["", ",,", "  ", ",", " , , "]), CELLS),  # inserted
+    extra_field=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    bom=st.booleans(),
+)
+@numeric_case("descriptors", 2, 1, OVER_LONG_NUMBER)
+@numeric_case("keypoints", 1, 0, "2.0")
+@numeric_case("keypoints", 3, 2, "Infinity")
+@numeric_case("point_ids", 1, 1, "\x00", line="  ")
+@numeric_case("keypoints", 1, 1, '"1"', line=",,", newline="\r\n")
+@numeric_case("descriptors", 2, 0, "1_5", line="", extra_field=True)
+@numeric_case("matches", 3, 2, "\u0661", bom=True)
+@numeric_case("keypoints", 2, 2, "1#", newline="\r\n")
+@numeric_case("point_ids", 0, 0, None)
+@numeric_case("descriptors", 0, 1, "point_id")  # parsed as an integer, asked for as a float
+def test_numeric_reader_agrees_with_csv_walk(kind, row, col, cell, line, extra_field, newline, bom):
+    # Row 0 with no cell edit: the header alone.
+    expected, blocks = NUMERIC_FILES[kind]
+    rows = [list(r) for r in NUMERIC_ROWS[kind]]
+    if cell is None and row == 0:
+        rows = rows[:1]
+    elif cell is not None:
+        rows[row][col % len(rows[0])] = cell
+    if extra_field:
+        rows[-1].append("0")
+    lines = [",".join(r) for r in rows]
+    if line is not None:
+        lines.insert(row + 1, line)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "table.csv"
+        path.write_bytes(("\ufeff" * bom + newline.join(lines) + newline).encode())
+
+        def fast():
+            table = _NumericTable(path, expected)
+            return [table.block(c or table.header[1:], t) for c, t in blocks]
+
+        def csv_walk():
+            table = _read_table(path, expected)
+            return [_block(table, c or table.header[1:], t) for c, t in blocks]
+
+        assert numeric_outcome(fast) == numeric_outcome(csv_walk)
+
+
+def test_over_long_numeric_field_is_malformed(rng, tmp_path):
+    save_with_point_ids(rng, tmp_path)
+    edit_cell(tmp_path / "queries" / "descriptors" / "q0001.csv", 2, 3, OVER_LONG_NUMBER)
+    with pytest.raises(MalformedRecordError, match=r"field larger than field limit.*q0001\.csv\]"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "kind, col, text, error, message",
+    [
+        ("keypoints", 0, lambda rows: rows[1][0], MalformedRecordError, "idx 0 repeated"),
+        ("keypoints", 1, "100000.0", InvariantError, "outside image bounds"),
+        ("point_ids", 0, "9", MalformedRecordError, r"idx 9 outside \[0, 5\)"),
+    ],
+)
+def test_fault_after_clean_parse_names_physical_line(rng, tmp_path, kind, col, text, error, message):
+    # A blank line above the fault: the row index and the line number differ.
+    save_with_point_ids(rng, tmp_path)
+    path = tmp_path / "queries" / kind / "q0000.csv"
+    edit_cell(path, 3, col, text)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+    with pytest.raises(error, match=message) as info:
+        load_dataset(tmp_path)
+    assert info.value.record == 5
 
 
 # Files of the two-camera rig dataset that the row fuzz edits.

@@ -21,10 +21,12 @@ with digit runs compared as numbers ("q9" before "q10").
 Every camera's odometry pose in an instance must equal the rig pose composed
 with that camera's extrinsic, to within RIG_TOL_M and RIG_TOL_RAD.
 
-Two parsers read the files: the all-numeric per-keypoint and match files are
-parsed in one np.loadtxt call, and the tables that hold strings, as well as
-any numeric file that loadtxt cannot vouch for, are walked cell by cell with
-the csv module, which names the line of a fault.
+The all-numeric files (keypoints, descriptors, point_ids, matches) are ASCII.
+Their lines end at a newline, carriage returns before it are dropped, and empty
+lines are skipped. Each cell holds one number as np.loadtxt reads it, with no
+quotes and no comments: the leading idx, point_id, idxA and idxB columns are
+int64, every other column float64. One np.loadtxt call parses a file's body;
+the tables that hold strings go through the csv module.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import csv
 import logging
 import math
 import re
-import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +126,8 @@ def default_odometry_covariance() -> np.ndarray:
 
 _POSE_COLUMNS = ("qw", "qx", "qy", "qz", "tx", "ty", "tz")
 
-# Integer columns of the per-keypoint and match files; their other columns are floats.
+# Integer columns of the per-keypoint and match files, where they lead the expected
+# header; every other column is a float.
 _INT_COLUMNS = frozenset({"idx", "point_id", "idxA", "idxB"})
 
 # Per-keypoint files: directory name (also the Frame attribute) -> leading columns.
@@ -168,7 +171,7 @@ def _read_table(path: Path, expected_header=()) -> _Table:
     if not path.is_file():
         raise MissingFileError("required file missing", path=path)
     rows, lines = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -222,91 +225,48 @@ def _block(table: _Table, columns, dtype=float) -> np.ndarray:
             )
 
 
-class _NumericTable:
-    """An all-numeric CSV file, its body parsed by one np.loadtxt call.
+def _read_numeric(path: Path, expected_header) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """An all-numeric file as its int64 and its float64 (rows, columns) blocks, and its body lines.
 
-    The header is read and checked as in _read_table. The file goes to
-    _read_table, and its blocks to _block, wherever loadtxt cannot vouch that
-    it reads what they would: when the body is not ASCII, a line may hold a
-    field over the csv module's size limit, loadtxt raises or warns, or a
-    value is not finite. So every file loads, or fails with the same error
-    and line, as through _read_table.
+    The int64 columns are the expected header's columns named in _INT_COLUMNS,
+    which lead it. A fault raises MalformedRecordError at its line.
     """
-
-    def __init__(self, path: Path, expected_header):
-        self.path = path
-        self.expected_header = expected_header
-        self.header, self.body = self._loadtxt()
-        self._table = None
-        if self.body is None:
-            self._table = _read_table(path, expected_header)
-            self.header = self._table.header
-
-    def _loadtxt(self) -> tuple[list[str], np.ndarray | None]:
-        """The header, and the body as a structured array with one field per column.
-
-        The body is None where the file must go to _read_table.
-        """
-        header = []
+    if not path.is_file():
+        raise MissingFileError("required file missing", path=path)
+    text = path.read_bytes().decode("utf-8", errors="replace")
+    lines = [s.rstrip("\r") for s in text.split("\n")]
+    header, body = [h.strip() for h in lines[0].split(",")], lines[1:]
+    _check_header(header, path, expected_header)
+    n_int = sum(c in _INT_COLUMNS for c in expected_header)
+    dtype = np.dtype([(f"c{j}", np.int64 if j < n_int else np.float64) for j in range(len(header))])
+    parse = partial(np.loadtxt, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    try:
+        if text.isascii():  # loadtxt can crash on text that is not ASCII
+            rows = parse(body) if any(body) else np.zeros(0, dtype)
+            cells = rows.view(np.float64).reshape(len(rows), len(header))
+            if np.isfinite(cells[:, n_int:]).all():
+                return cells[:, :n_int].view(np.int64), cells[:, n_int:], body
+    except ValueError:
+        pass
+    for line, s in enumerate(lines, start=1):  # the first line at fault
         try:
-            with open(self.path, newline="") as fh:
-                header = [h.strip() for h in next(csv.reader(fh))]
-                _check_header(header, self.path, self.expected_header)
-                text = fh.read()
-        except (OSError, StopIteration, csv.Error, UnicodeDecodeError):
-            return header, None
-        # numpy's loadtxt can crash on a cell that is not ASCII (seen with numpy
-        # 2.4 on "\U000f9b1d" in an integer column); no number needs one.
-        if not text.isascii():
-            return header, None
-        lines = text.split("\n")
-        if max(map(len, lines)) > csv.field_size_limit():
-            return header, None
-        is_int = [h in _INT_COLUMNS for h in header]
-        dtype = np.dtype(
-            {
-                "names": [f"c{j}" for j in range(len(is_int))],
-                "formats": [np.int64 if i else np.float64 for i in is_int],
-            }
-        )
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # e.g. "input contained no data"
-                body = np.loadtxt(
-                    lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
-                )
-        except (ValueError, Warning):
-            return header, None
-        cells = body.view(np.float64).reshape(len(body), len(is_int))
-        if not np.isfinite(cells[:, np.logical_not(is_int)]).all():
-            return header, None
-        return header, body
+            if not s.isascii():
+                raise ValueError("not ASCII")
+            if line > 1 and s and not np.isfinite(parse([s]).view(np.float64)[n_int:]).all():
+                raise ValueError("a float is not finite")
+        except ValueError as e:
+            raise MalformedRecordError(f"unreadable as numbers: {e}", path, line)
+    raise MalformedRecordError("unreadable as numbers", path)
 
-    def __len__(self) -> int:
-        return len(self.body) if self._table is None else len(self._table.rows)
 
-    def block(self, columns, dtype=float) -> np.ndarray:
-        """The named columns as one (rows, columns) array, as _block gives them."""
-        parsed_as_dtype = all((c in _INT_COLUMNS) == (dtype is np.int64) for c in columns)
-        if self._table is not None or not parsed_as_dtype:
-            return _block(self._csv_table(), columns, dtype)
-        cols = [self.header.index(c) for c in columns]
-        return self.body.view(dtype).reshape(len(self.body), len(self.header))[:, cols]
-
-    def line_numbers(self) -> list[int]:
-        """The line of each body row, from _read_table: blank lines are not rows."""
-        return self._csv_table().lines
-
-    def _csv_table(self) -> _Table:
-        """The file through _read_table, read on first use after a clean loadtxt parse."""
-        if self._table is None:
-            self._table = _read_table(self.path, self.expected_header)
-        return self._table
+def _row_lines(body: list[str]) -> list[int]:
+    """The line of each row of a numeric file's body lines: empty lines are not rows."""
+    return [line for line, s in enumerate(body, start=2) if s]
 
 
 def _write_table(path: Path, header, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([header, *rows])
 
 
@@ -327,18 +287,21 @@ def _parse_pose_fields(table: _Table) -> list[Pose | None]:
 
 def read_match_file(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The idxA, idxB and score columns of a match file."""
-    table = _NumericTable(path, ("idxA", "idxB", "score"))
-    idx = table.block(("idxA", "idxB"), np.int64)
-    return idx[:, 0], idx[:, 1], table.block(("score",))[:, 0]
+    ints, floats, _ = _read_numeric(path, ("idxA", "idxB", "score"))
+    return ints[:, 0], ints[:, 1], floats[:, 0]
 
 
 def write_match_file(path: Path, rows: list[tuple[int, int, float]]) -> None:
     _write_table(path, ("idxA", "idxB", "score"), ([a, b, _fmt(s)] for a, b, s in rows))
 
 
+def _file_stem(frame_id: str) -> str:
+    """The name of a frame's files: a rig frame's "/" becomes "+"."""
+    return frame_id.replace("/", "+")
+
+
 def match_file_path(root: Path, frame_a: str, frame_b: str) -> Path:
-    safe = lambda s: s.replace("/", "+")
-    return Path(root) / "matches" / f"{safe(frame_a)}__{safe(frame_b)}.csv"
+    return Path(root) / "matches" / f"{_file_stem(frame_a)}__{_file_stem(frame_b)}.csv"
 
 
 # --- loading ------------------------------------------------------------------
@@ -363,28 +326,28 @@ def _load_per_keypoint(side: Path, frame: Frame, kind: str) -> None:
     Each row's idx must be a distinct integer in [0, n); the row goes to that
     index. Files other than the keypoints need one row per keypoint.
     """
-    path = side / kind / f"{frame.frame_id.replace('/', '+')}.csv"
+    path = side / kind / f"{_file_stem(frame.frame_id)}.csv"
     if not path.is_file():
         return
-    table = _NumericTable(path, _PER_KEYPOINT[kind])
-    n = len(table)
+    ints, floats, body = _read_numeric(path, _PER_KEYPOINT[kind])
+    n = len(ints)
     if kind != "keypoints" and n != len(frame.keypoints):
         raise InvariantError(
             f"{n} rows of {kind} for {len(frame.keypoints)} keypoints in {frame.frame_id}",
             path=path,
         )
-    idx = table.block(("idx",), np.int64)[:, 0]
+    idx = ints[:, 0]
     if not np.array_equal(np.sort(idx), np.arange(n)):
         seen = set()
-        for i, line in zip(idx.tolist(), table.line_numbers()):
+        for i, line in zip(idx.tolist(), _row_lines(body)):
             if not 0 <= i < n or i in seen:
                 fault = "repeated" if i in seen else f"outside [0, {n})"
                 raise MalformedRecordError(f"idx {i} {fault}", path=path, record=line)
             seen.add(i)
 
-    columns = _PER_KEYPOINT[kind][1:] or table.header[1:]
-    values = table.block(columns, np.int64 if kind == "point_ids" else float)
+    values = ints[:, 1] if kind == "point_ids" else floats
     if kind == "keypoints":
+        values = floats[:, :2]  # (u, v), whatever columns follow
         u, v = values.T
         inside = (u >= 0) & (u < frame.intrinsics.width) & (v >= 0) & (v < frame.intrinsics.height)
         if not inside.all():
@@ -392,11 +355,11 @@ def _load_per_keypoint(side: Path, frame: Frame, kind: str) -> None:
             raise InvariantError(
                 f"keypoint ({u[r]}, {v[r]}) outside image bounds of {frame.frame_id}",
                 path=path,
-                record=table.line_numbers()[r],
+                record=_row_lines(body)[r],
             )
     ordered = np.empty_like(values)
     ordered[idx] = values
-    setattr(frame, kind, ordered[:, 0] if kind == "point_ids" else ordered)
+    setattr(frame, kind, ordered)
 
 
 def _load_side(side: Path, *, query_side: bool) -> list[Frame]:
@@ -415,14 +378,18 @@ def _load_side(side: Path, *, query_side: bool) -> list[Frame]:
                 )
             frames.append(Frame(frame_id, cam, intrinsics[cam], pose))
     elif not query_side and geo_path.is_file():
-        frames = _frames_from_geo(geo_path, intrinsics)
+        table = _read_table(geo_path, ("frame_id",))
+        frames = _frames_from_geo(table, intrinsics)
     else:
         raise MissingFileError("required file missing", path=poses_path)
 
     by_id: dict[str, Frame] = {}
-    for f in frames:
-        if f.frame_id in by_id:
-            raise InvariantError(f"duplicate frame_id {f.frame_id!r}", path=poses_path)
+    by_stem: dict[str, str] = {}  # file stem -> frame_id
+    for f, line in zip(frames, table.lines):
+        other = by_stem.setdefault(_file_stem(f.frame_id), f.frame_id)
+        if f.frame_id in by_id or other != f.frame_id:
+            fault = "repeats" if other == f.frame_id else f"shares its file names with {other!r}"
+            raise InvariantError(f"frame_id {f.frame_id!r} {fault}", path=table.path, record=line)
         by_id[f.frame_id] = f
         for kind in _PER_KEYPOINT:
             _load_per_keypoint(side, f, kind)
@@ -450,9 +417,9 @@ def _load_side(side: Path, *, query_side: bool) -> list[Frame]:
     return frames
 
 
-def _frames_from_geo(path: Path, intrinsics: dict[str, CameraIntrinsics]) -> list[Frame]:
-    """Build reference poses from geodetic records about the first record's origin."""
-    table = _read_table(path, ("frame_id",))
+def _frames_from_geo(table: _Table, intrinsics: dict[str, CameraIntrinsics]) -> list[Frame]:
+    """Build reference poses from geo.csv's records about the first record's origin."""
+    path = table.path
     if not table.rows:
         raise InvariantError("geo.csv has no records", path=path)
     if len(intrinsics) != 1:
@@ -569,7 +536,7 @@ def _load_covariance(side: Path) -> np.ndarray:
     if not path.is_file():
         return default_odometry_covariance()
     vals = []
-    with open(path, errors="replace") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for line, text in enumerate(fh, start=1):
             try:
                 row = [float(c) for c in text.split(",")] if text.strip() else []
@@ -647,7 +614,7 @@ def save_dataset(
             ),
         )
         for f in frames:
-            name = f"{f.frame_id.replace('/', '+')}.csv"
+            name = f"{_file_stem(f.frame_id)}.csv"
             _write_table(
                 side / "keypoints" / name,
                 _PER_KEYPOINT["keypoints"],
@@ -673,12 +640,8 @@ def save_dataset(
                 ([fid, *map(_fmt, g)] for fid, g in gds),
             )
 
-    np.savetxt(
-        root / "queries" / "odometry_covariance.csv",
-        sequence.covariance,
-        delimiter=",",
-        fmt="%.17g",
-    )
+    with open(root / "queries" / "odometry_covariance.csv", "w", encoding="utf-8") as fh:
+        np.savetxt(fh, sequence.covariance, delimiter=",", fmt="%.17g")
     if rig_defs:
         _write_table(
             root / "rig_extrinsics.csv",

@@ -2,7 +2,10 @@
 
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqloc
 from seqloc.geometry import CameraIntrinsics, Pose, Quaternion
 from seqloc.ingest import (
     DatasetError,
@@ -22,9 +26,6 @@ from seqloc.ingest import (
     MissingFileError,
     QuerySequence,
     Rig,
-    _block,
-    _NumericTable,
-    _read_table,
     batch,
     geodetic_to_local,
     load_dataset,
@@ -181,6 +182,34 @@ class TestRoundTrip:
         assert caught == []
         assert (idx_a.shape, idx_a.dtype) == ((0,), np.int64)
         assert (scores.shape, scores.dtype) == ((0,), np.float64)
+
+
+SAVE_AND_LOAD = """
+import sys
+import numpy as np
+from seqloc.geometry import CameraIntrinsics, Pose
+from seqloc.ingest import *
+K = CameraIntrinsics(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
+frame = lambda i: Frame(f"f{i}", "cam0", K, Pose.identity(), np.full((2, 2), 9.5), np.eye(2), None, np.arange(2))
+rigs = [Rig(f"f{i}", [("cam0", Pose.identity())], {"cam0": frame(i)}, Pose.identity()) for i in range(2)]
+save_dataset(sys.argv[1], QuerySequence(rigs), [frame(9)])
+load_dataset(sys.argv[1])
+path = match_file_path(sys.argv[1], "f0", "f9")
+write_match_file(path, [(0, 1, 0.5)])
+read_match_file(path)
+"""
+
+
+def test_files_are_read_and_written_as_utf8(tmp_path):
+    # Under warn_default_encoding, an open() that takes the locale's encoding warns.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(seqloc.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", SAVE_AND_LOAD, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 class TestRigs:
@@ -399,96 +428,81 @@ def test_fuzzed_per_keypoint_cell_loads_or_raises_dataset_error(kind, row, col, 
             pass
 
 
-# The all-numeric files: the header their loaders expect, and the blocks they
-# ask for (None: every column after idx).
-NUMERIC_FILES = {
-    "keypoints": (("idx", "u", "v"), [(("idx",), np.int64), (("u", "v"), float)]),
-    "descriptors": (("idx",), [(("idx",), np.int64), (None, float)]),
-    "point_ids": (("idx", "point_id"), [(("idx",), np.int64), (("point_id",), np.int64)]),
-    "matches": (("idxA", "idxB", "score"), [(("idxA", "idxB"), np.int64), (("score",), float)]),
+H = "idxA,idxB,score\n"
+ROWS = "0,3,1.0\n2,5,0.5\n"
+LOADED = ([0, 2], [3, 5], [1.0, 0.5])
+# The grammar of the all-numeric files, on a match file: its text, and the
+# (idxA, idxB, score) it loads as, or the line of its MalformedRecordError.
+NUMERIC_GRAMMAR = {
+    "plain": (H + ROWS, LOADED),
+    "crlf": (H.replace("\n", "\r\n") + ROWS.replace("\n", "\r\n"), LOADED),
+    "carriage returns before a newline": (H + "0,3,1.0\r\r\n\r\n2,5,0.5\r", LOADED),
+    "empty lines, no final newline": (H + "\n0,3,1.0\n\n2,5,0.5", LOADED),
+    "padded cells": (H + " 0 ,+3, 1e0\t\n2,5,.5\n", LOADED),
+    "header only": (H, ([], [], [])),
+    "largest int64": (H + "9223372036854775807,0,5e-324\n", ([2**63 - 1], [0], [5e-324])),
+    "bom": ("\ufeff" + H + ROWS, 1),
+    "quoted number": (H + '0,3,"1.0"\n', 2),
+    "comment sign": (H + "0,3,1.0#\n", 2),
+    "underscore": (H + ROWS + "1_5,0,1.0\n", 4),
+    "arabic-indic digit": (H + "0,\u0661,1.0\n", 2),
+    "nul": (H + "0,3,1.0\x00\n", 2),
+    "no-break space": (H + "0,3,\u00a01.0\n", 2),
+    "carriage return inside a line": (H + "0,3,1.0\r2,5,0.5\n", 2),
+    "whitespace-only line": (H + "0,3,1.0\n  \n2,5,0.5\n", 3),
+    "comma-only line": (H + "0,3,1.0\n,,\n2,5,0.5\n", 3),
+    "float in int column": (H + "0,3,1.0\n2.0,5,0.5\n", 3),
+    "int64 overflow": (H + "9223372036854775808,3,1.0\n", 2),
+    "infinity after an empty line": (H + "0,3,1.0\n\n2,5,Infinity\n", 4),
+    "nan": (H + "0,3,nan\n", 2),
+    "nan in int column": (H + "nan,3,1.0\n", 2),
+    "extra field": (H + ROWS + "7,1,0.5,0\n", 4),
+    "missing field": (H + "0,3\n", 2),
+    "bad header before a bad line": ("idxA,idxB\n0,3,1_5\n", 1),
 }
-NUMERIC_ROWS = {  # header and three rows
-    "keypoints": [["idx", "u", "v"], ["0", "12.5", "7"], ["1", "600.25", "0.0"], ["2", "3e2", "479.5"]],
-    "descriptors": [["idx", "d0", "d1"], ["0", "3", "0.6"], ["1", "-0", "-0.8"], ["2", "12", "5e-324"]],
-    "point_ids": [["idx", "point_id"], ["0", "9223372036854775807"], ["1", "-7"], ["2", "0"]],
-    "matches": [["idxA", "idxB", "score"], ["0", "3", "1.0"], ["2", "5", "0.1"], ["7", "1", "0.5"]],
-}
-OVER_LONG_NUMBER = "0." + "0" * 131072 + "1"  # finite, but over csv.field_size_limit()
-CELLS = st.one_of(
-    st.sampled_from(
-        ['"1"', "1_5", "\u0661\u0662", "1#", "#", "1\x002", "2.0", "Infinity", "-nan", " 4 ", ""]
-    ),
-    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
-)
 
 
-def numeric_case(kind, row, col, cell, line=None, extra_field=False, newline="\n", bom=False):
-    """One explicit example for test_numeric_reader_agrees_with_csv_walk."""
-    fields = dict(line=line, extra_field=extra_field, newline=newline, bom=bom)
-    return example(kind=kind, row=row, col=col, cell=cell, **fields)
+@pytest.mark.parametrize("case", sorted(NUMERIC_GRAMMAR))
+def test_numeric_file_grammar(tmp_path, case):
+    text, outcome = NUMERIC_GRAMMAR[case]
+    path = tmp_path / "matches" / "qa__rb.csv"
+    path.parent.mkdir()
+    path.write_bytes(text.encode())
+    if isinstance(outcome, int):
+        with pytest.raises(MalformedRecordError, match=re.escape(f"qa__rb.csv:{outcome}]")):
+            read_match_file(path)
+        return
+    expected = [np.array(c, dtype=t) for c, t in zip(outcome, (np.int64, np.int64, np.float64))]
+    assert [a.tobytes() for a in read_match_file(path)] == [e.tobytes() for e in expected]
 
 
-def numeric_outcome(read):
-    """The blocks `read` gives, as (dtype, shape, bytes), or its DatasetError's class and record."""
-    try:
-        return [(b.dtype, b.shape, b.tobytes()) for b in read()]
-    except DatasetError as e:
-        return type(e), e.record
-
-
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(
-    kind=st.sampled_from(sorted(NUMERIC_FILES)),
-    row=st.integers(0, 3),
-    col=st.integers(0, 2),
-    cell=st.one_of(st.none(), CELLS),  # None: the cell stays
-    line=st.one_of(st.none(), st.sampled_from(["", ",,", "  ", ",", " , , "]), CELLS),  # inserted
-    extra_field=st.booleans(),
-    newline=st.sampled_from(["\n", "\r\n"]),
-    bom=st.booleans(),
-)
-@numeric_case("descriptors", 2, 1, OVER_LONG_NUMBER)
-@numeric_case("keypoints", 1, 0, "2.0")
-@numeric_case("keypoints", 3, 2, "Infinity")
-@numeric_case("point_ids", 1, 1, "\x00", line="  ")
-@numeric_case("keypoints", 1, 1, '"1"', line=",,", newline="\r\n")
-@numeric_case("descriptors", 2, 0, "1_5", line="", extra_field=True)
-@numeric_case("matches", 3, 2, "\u0661", bom=True)
-@numeric_case("keypoints", 2, 2, "1#", newline="\r\n")
-@numeric_case("point_ids", 0, 0, None)
-@numeric_case("descriptors", 0, 1, "point_id")  # parsed as an integer, asked for as a float
-def test_numeric_reader_agrees_with_csv_walk(kind, row, col, cell, line, extra_field, newline, bom):
-    # Row 0 with no cell edit: the header alone.
-    expected, blocks = NUMERIC_FILES[kind]
-    rows = [list(r) for r in NUMERIC_ROWS[kind]]
-    if cell is None and row == 0:
-        rows = rows[:1]
-    elif cell is not None:
-        rows[row][col % len(rows[0])] = cell
-    if extra_field:
-        rows[-1].append("0")
-    lines = [",".join(r) for r in rows]
-    if line is not None:
-        lines.insert(row + 1, line)
-    with tempfile.TemporaryDirectory() as d:
-        path = Path(d) / "table.csv"
-        path.write_bytes(("\ufeff" * bom + newline.join(lines) + newline).encode())
-
-        def fast():
-            table = _NumericTable(path, expected)
-            return [table.block(c or table.header[1:], t) for c, t in blocks]
-
-        def csv_walk():
-            table = _read_table(path, expected)
-            return [_block(table, c or table.header[1:], t) for c, t in blocks]
-
-        assert numeric_outcome(fast) == numeric_outcome(csv_walk)
-
-
-def test_over_long_numeric_field_is_malformed(rng, tmp_path):
+def test_over_long_numeric_field_loads(rng, tmp_path):
+    # Longer than the csv module's field limit; loadtxt reads it as the number it is.
     save_with_point_ids(rng, tmp_path)
-    edit_cell(tmp_path / "queries" / "descriptors" / "q0001.csv", 2, 3, OVER_LONG_NUMBER)
-    with pytest.raises(MalformedRecordError, match=r"field larger than field limit.*q0001\.csv\]"):
+    edit_cell(tmp_path / "queries" / "descriptors" / "q0001.csv", 2, 3, "0." + "0" * 131072 + "1")
+    loaded, _ = load_dataset(tmp_path)
+    assert loaded[0].rigs[1].frames["cam0"].descriptors[1, 2] == 0.0
+
+
+def test_keypoints_with_an_extra_column_load(rng, tmp_path):
+    seq, _ = save_with_point_ids(rng, tmp_path)
+    path = tmp_path / "queries" / "keypoints" / "q0001.csv"
+    rows = path.read_text().splitlines()
+    path.write_text("\n".join([rows[0] + ",score"] + [r + ",0.5" for r in rows[1:]]) + "\n")
+    loaded, _ = load_dataset(tmp_path)
+    got = loaded[0].rigs[1].frames["cam0"].keypoints
+    assert got.tobytes() == seq.rigs[1].frames["cam0"].keypoints.tobytes()
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [("ra+x", "'ra\\+x' shares its file names with 'ra/x'"), ("ra/x", "'ra/x' repeats")],
+)
+def test_frame_ids_sharing_a_file_name(rng, tmp_path, second, message):
+    # "ra/x" and "ra+x" both save their keypoints to keypoints/ra+x.csv, as a repeated id does.
+    seq, _ = make_dataset(rng)
+    save_dataset(tmp_path, seq, [make_frame(rng, "ra/x"), make_frame(rng, second)])
+    with pytest.raises(InvariantError, match=message + r".*references/poses\.csv:3\]"):
         load_dataset(tmp_path)
 
 

@@ -26,7 +26,8 @@ Their lines end at a newline, carriage returns before it are dropped, and empty
 lines are skipped. Each cell holds one number as np.loadtxt reads it, with no
 quotes and no comments: the leading idx, point_id, idxA and idxB columns are
 int64, every other column float64. One np.loadtxt call parses a file's body;
-the tables that hold strings go through the csv module.
+the tables that hold strings go through the csv module, and their numeric
+cells, like the odometry covariance's, are read in the same grammar.
 """
 
 from __future__ import annotations
@@ -130,6 +131,9 @@ _POSE_COLUMNS = ("qw", "qx", "qy", "qz", "tx", "ty", "tz")
 # header; every other column is a float.
 _INT_COLUMNS = frozenset({"idx", "point_id", "idxA", "idxB"})
 
+# One cell or line of the numeric files per element of its first argument.
+_loadtxt = partial(np.loadtxt, delimiter=",", comments=None, quotechar=None, ndmin=1)
+
 # Per-keypoint files: directory name (also the Frame attribute) -> leading columns.
 _PER_KEYPOINT = {
     "keypoints": ("idx", "u", "v"),
@@ -193,11 +197,37 @@ def _read_table(path: Path, expected_header=()) -> _Table:
     return _Table(path, header, rows, lines)
 
 
-def _block(table: _Table, columns, dtype=float) -> np.ndarray:
+def _numbers(cells: list[str], dtype) -> np.ndarray | None:
+    """cells as a (len(cells),) array of dtype, each read as one cell of the
+    numeric files; None when one of them is not a number there."""
+    if not cells:
+        return np.zeros(0, dtype)
+    # loadtxt skips an empty line and can crash on text that is not ASCII.
+    if not all(c and c.isascii() for c in cells):
+        return None
+    try:
+        values = _loadtxt(cells, dtype=dtype)  # each cell a line of its own
+    except (ValueError, OverflowError):
+        return None
+    return values if values.shape == (len(cells),) else None
+
+
+def _is_finite_number(cell: str, dtype) -> bool:
+    value = _numbers([cell], dtype)
+    return value is not None and bool(np.isfinite(value).all())
+
+
+def _not_a_number(column: str, cell: str, dtype, path: Path, line: int) -> MalformedRecordError:
+    kind = "a 64-bit integer" if np.dtype(dtype).kind == "i" else "a finite number"
+    return MalformedRecordError(f"field {column!r} = {cell!r} is not {kind}", path, line)
+
+
+def _block(table: _Table, columns, dtype=np.float64) -> np.ndarray:
     """The named columns as one (rows, columns) array.
 
-    Every cell must be a finite number (a 64-bit integer for an integer dtype);
-    the first that is not raises MalformedRecordError naming its line.
+    Every cell must be a finite number (a 64-bit integer for an integer dtype)
+    as a cell of the numeric files reads; the first that is not raises
+    MalformedRecordError naming its line.
     """
     if not table.rows:
         return np.zeros((0, len(columns)), dtype=dtype)
@@ -206,30 +236,21 @@ def _block(table: _Table, columns, dtype=float) -> np.ndarray:
         raise MalformedRecordError(f"column {missing[0]!r} missing", table.path, 1)
     cols = [table.header.index(c) for c in columns]
     cells = [r[j] for r in table.rows for j in cols]
-    try:
-        block = np.array(cells, dtype=dtype).reshape(len(table.rows), len(cols))
-        if np.isfinite(block).all():
-            return block
-    except (ValueError, OverflowError):
-        pass
-    kind = "a finite number" if dtype is float else "a 64-bit integer"
+    block = _numbers(cells, dtype)
+    if block is not None and np.isfinite(block).all():
+        return block.reshape(len(table.rows), len(cols))
     for k, cell in enumerate(cells):
-        try:
-            bad = not np.isfinite(np.array(cell, dtype=dtype))
-        except (ValueError, OverflowError):
-            bad = True
-        if bad:
+        if not _is_finite_number(cell, dtype):
             row, col = divmod(k, len(cols))
-            raise MalformedRecordError(
-                f"field {columns[col]!r} = {cell!r} is not {kind}", table.path, table.lines[row]
-            )
+            raise _not_a_number(columns[col], cell, dtype, table.path, table.lines[row])
 
 
 def _read_numeric(path: Path, expected_header) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """An all-numeric file as its int64 and its float64 (rows, columns) blocks, and its body lines.
 
     The int64 columns are the expected header's columns named in _INT_COLUMNS,
-    which lead it. A fault raises MalformedRecordError at its line.
+    which lead it. A fault raises MalformedRecordError at its line, naming the
+    column where one cell is at fault.
     """
     if not path.is_file():
         raise MissingFileError("required file missing", path=path)
@@ -238,24 +259,31 @@ def _read_numeric(path: Path, expected_header) -> tuple[np.ndarray, np.ndarray, 
     header, body = [h.strip() for h in lines[0].split(",")], lines[1:]
     _check_header(header, path, expected_header)
     n_int = sum(c in _INT_COLUMNS for c in expected_header)
-    dtype = np.dtype([(f"c{j}", np.int64 if j < n_int else np.float64) for j in range(len(header))])
-    parse = partial(np.loadtxt, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    types = [np.int64 if j < n_int else np.float64 for j in range(len(header))]
+    dtype = np.dtype([(f"c{j}", t) for j, t in enumerate(types)])
     try:
         if text.isascii():  # loadtxt can crash on text that is not ASCII
-            rows = parse(body) if any(body) else np.zeros(0, dtype)
+            rows = _loadtxt(body, dtype=dtype) if any(body) else np.zeros(0, dtype)
             cells = rows.view(np.float64).reshape(len(rows), len(header))
             if np.isfinite(cells[:, n_int:]).all():
                 return cells[:, :n_int].view(np.int64), cells[:, n_int:], body
     except ValueError:
         pass
-    for line, s in enumerate(lines, start=1):  # the first line at fault
+    if not lines[0].isascii():
+        raise MalformedRecordError("header is not ASCII", path, 1)
+    for line, s in enumerate(body, start=2):  # the first line at fault
+        if not s:
+            continue
+        cells = s.split(",")
+        if len(cells) != len(header):
+            raise MalformedRecordError(f"expected {len(header)} fields, got {len(cells)}", path, line)
+        for column, cell, t in zip(header, cells, types):
+            if not _is_finite_number(cell, t):
+                raise _not_a_number(column, cell, t, path, line)
         try:
-            if not s.isascii():
-                raise ValueError("not ASCII")
-            if line > 1 and s and not np.isfinite(parse([s]).view(np.float64)[n_int:]).all():
-                raise ValueError("a float is not finite")
-        except ValueError as e:
-            raise MalformedRecordError(f"unreadable as numbers: {e}", path, line)
+            _loadtxt([s], dtype=dtype)
+        except ValueError:
+            raise MalformedRecordError("unreadable as numbers", path, line) from None
     raise MalformedRecordError("unreadable as numbers", path)
 
 
@@ -538,13 +566,14 @@ def _load_covariance(side: Path) -> np.ndarray:
     vals = []
     with open(path, encoding="utf-8", errors="replace") as fh:
         for line, text in enumerate(fh, start=1):
-            try:
-                row = [float(c) for c in text.split(",")] if text.strip() else []
-            except ValueError as e:
-                raise MalformedRecordError(f"bad covariance value: {e}", path, line)
-            if not all(map(math.isfinite, row)):
+            cells = text.rstrip("\n").split(",") if text.strip() else []
+            row = _numbers(cells, np.float64)
+            if row is None:
+                bad = next(c for c in cells if _numbers([c], np.float64) is None)
+                raise MalformedRecordError(f"bad covariance value {bad!r}", path, line)
+            if not np.isfinite(row).all():
                 raise MalformedRecordError("covariance value is not finite", path, line)
-            vals += row
+            vals += row.tolist()
     if len(vals) != 36:
         raise MalformedRecordError(
             f"expected 36 covariance values, got {len(vals)}", path=path

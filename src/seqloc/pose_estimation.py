@@ -260,8 +260,13 @@ def refine_pose(
     was 4.6e-2, 7.3e-4, 3.2e-6, 2.6e-8, 5e-10 and 1.7e-11, so past step 3 the
     steps only polish rounding. The one rule serves LO, which only has to show
     whether the inlier count rises (Lebeda, Matas & Chum, BMVC 2012), and the
-    final refinement. Returns the best iterate; warns when the iteration
-    budget runs out before convergence.
+    final refinement. The normal equations keep the IRLS weights w J^T J:
+    with the Huber kernel's second-order term, which pose-graph refinement
+    adds, the cost evaluations of one seed-1 pass of perfbench's
+    oracle_outliers, cluttered_mnn and long_sequence_pgo fell by only 2.4%,
+    2.2% and 1.7%, against another step sequence and so other estimates.
+    Returns the best iterate; warns when the iteration budget runs out
+    before convergence.
     """
     obs = _observations(points, pixels, cam_idx, views)
 
@@ -270,7 +275,7 @@ def refine_pose(
         pc = np.einsum("nij,nj->ni", R, obs.X) + obs.R @ T.translation + obs.t
         p, J, ok = project_many_with_jacobian(R, pc, obs.X, obs.f, obs.c)
         r = p[ok] - obs.x[ok]
-        rho, w = huber((r * r).sum(axis=1), huber_px**2)
+        rho, w, _ = huber((r * r).sum(axis=1), huber_px**2)
         return (float(rho.sum()) if ok.all() else math.inf), (r, J[ok], w)
 
     def normal_equations(T: Pose, state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,13 +18,22 @@ class LMReport(NamedTuple):
     converged: bool
 
 
-def huber(s, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Huber cost and IRLS weight of squared norms s: s up to threshold, then
-    2 sqrt(threshold s) - threshold with weight sqrt(threshold / s)."""
+def huber(s, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Huber cost rho of squared norms s and its first two derivatives in s:
+    rho = s up to threshold, then 2 sqrt(threshold s) - threshold; the IRLS
+    weight rho' = sqrt(threshold / s) (1 below the threshold); and
+    rho'' = -rho' / (2 s) above the threshold, 0 below it.
+
+    A factor with residual e and information L has s = e^T L e; half the
+    Hessian of rho(s) in e is rho' L + 2 rho'' (L e)(L e)^T, the Newton
+    weighting of Triggs et al., "Bundle Adjustment - A Modern Synthesis", 4.3.
+    """
     s = np.asarray(s, dtype=float)
     d = np.sqrt(threshold)
     root = np.sqrt(np.maximum(s, threshold))
-    return np.where(s <= threshold, s, 2.0 * d * root - threshold), d / root
+    w = d / root
+    rho = np.where(s <= threshold, s, 2.0 * d * root - threshold)
+    return rho, w, np.where(s <= threshold, 0.0, -0.5 * w / np.maximum(s, threshold))
 
 
 def solve_block_tridiagonal(D: np.ndarray, C: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -32,28 +41,53 @@ def solve_block_tridiagonal(D: np.ndarray, C: np.ndarray, r: np.ndarray) -> np.n
     are D (n,b,b) and whose blocks above the diagonal are C (n-1,b,b):
     A[k, k+1] = C[k] and A[k+1, k] = C[k]^T. r and x are (n,b).
 
-    Block LDL^T (Thomas) elimination: n solves of b x b blocks, O(n b^3)
-    instead of a dense (n b)^3 solve; a single block is one np.linalg.solve.
-    Raises ValueError on a non-finite input, np.linalg.LinAlgError (a
-    ValueError) on a singular pivot block.
+    Odd-even block cyclic reduction (Heller, SIAM J. Numer. Anal. 1976): each
+    level eliminates the odd-indexed unknowns with one batched solve of their
+    diagonal blocks, which leaves a block-tridiagonal system over the even
+    ones, half as long. O(n b^3) work as in block elimination, but in about
+    log2(n) levels of batched numpy calls instead of a Python loop over the
+    blocks; a single block is one np.linalg.solve. Raises ValueError on a
+    non-finite input, np.linalg.LinAlgError (a ValueError) on a singular
+    pivot block.
     """
     if not np.isfinite(np.concatenate([D.ravel(), C.ravel(), r.ravel()])).all():
         raise ValueError("non-finite block")
-    G = np.empty_like(C)  # S[k]^-1 C[k], S the pivot blocks (Schur complements)
-    x = np.empty_like(r)  # S[k]^-1 y[k] on the way down, the solution on the way up
-    for k in range(len(D)):
-        S, y = D[k], r[k]
-        if k:
-            S = S - C[k - 1].T @ G[k - 1]
-            y = y - C[k - 1].T @ x[k - 1]
-        if k < len(C):
-            Z = np.linalg.solve(S, np.column_stack([C[k], y]))
-            G[k], x[k] = Z[:, :-1], Z[:, -1]
-        else:
-            x[k] = np.linalg.solve(S, y)
-    for k in range(len(C) - 1, -1, -1):
-        x[k] -= G[k] @ x[k + 1]
-    return x
+    n, b = r.shape
+    if n == 0:
+        return np.empty_like(r)
+    if n == 1:  # refine_pose's one 6x6 block
+        return np.linalg.solve(D[0], r[0])[None]
+    # Uncoupled identity blocks with zero right-hand sides, I x = 0, up to a
+    # power of two of blocks, and a zero coupling after the last.
+    pad = (1 << (n - 1).bit_length()) - n
+    D = np.concatenate([D, np.broadcast_to(np.eye(b), (pad, b, b))])
+    C = np.concatenate([C, np.zeros((pad + 1, b, b))])
+    r = np.concatenate([r, np.zeros((pad, b))])
+    return _cyclic_reduction(D, C, r)[:n]
+
+
+def _cyclic_reduction(D: np.ndarray, C: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """solve_block_tridiagonal for a power of two of blocks, with C (n,b,b) and C[n-1] = 0."""
+    b = D.shape[1]
+    if len(D) == 1:
+        return np.linalg.solve(D[0], r[0])[None]
+    C_in, C_out = C[0::2], C[1::2]  # C[j - 1] and C[j] of odd j
+    # Odd row j: x[j] = u[j] - L[j] x[j-1] - R[j] x[j+1], with
+    # Z[j] = [L | R | u][j] = D[j]^-1 [C[j-1]^T | C[j] | r[j]].
+    Z = np.linalg.solve(D[1::2], np.concatenate([C_in.transpose(0, 2, 1), C_out, r[1::2, :, None]], axis=2))
+    # Even row i takes in x[i+1] through C[i] and, for i > 0, x[i-1] through
+    # C[i-1]^T; rows i and i + 2 then couple through -C[i] R[i+1], the last
+    # such coupling 0, as R[-1] is.
+    ahead = C_in @ Z
+    behind = C_out[:-1].transpose(0, 2, 1) @ Z[:-1, :, b:]
+    D_even = D[0::2] - ahead[..., :b]
+    D_even[1:] -= behind[..., :b]
+    r_even = r[0::2] - ahead[..., 2 * b]
+    r_even[1:] -= behind[..., b]
+    x = np.zeros((len(D) + 1, b))  # x[n] = 0 stands for the unknown past the last
+    x[0:-1:2] = _cyclic_reduction(D_even, -ahead[..., b : 2 * b], r_even)
+    x[1::2] = Z[..., 2 * b] - (Z[..., : 2 * b] @ np.concatenate([x[0:-1:2], x[2::2]], axis=1)[..., None])[..., 0]
+    return x[:-1]
 
 
 def levenberg_marquardt(x, evaluate, normal_equations, retract, max_iters: int, tol: float):

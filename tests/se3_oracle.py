@@ -265,7 +265,7 @@ def evaluate(
         else:
             e = boxminus(nodes[a], z)
             factors.append(Factor((a,), e, (jr_inv(e),), graph.info[k]))
-    rho, w = huber([float(f.e @ f.info @ f.e) for f in factors], HUBER_THRESHOLD)
+    rho, w, _ = huber([float(f.e @ f.info @ f.e) for f in factors], HUBER_THRESHOLD)
     # Python's sum, unlike np.sum, adds in factor order.
     return float(sum(rho)), (factors, w)
 
@@ -273,18 +273,27 @@ def evaluate(
 def normal_equations(
     factors: list[Factor], weights: np.ndarray, slot: dict[int, int], dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense weighted Gauss-Newton H and g over the free nodes' state slots."""
+    """Dense Newton-weighted Gauss-Newton H and g over the free nodes' state
+    slots. Each factor's information enters H as w info, plus, above the Huber
+    threshold, the kernel's second-order term -w (info e)(info e)^T / s with
+    s = e^T info e: half the Hessian of rho(s) in e is rho'(s) info +
+    2 rho''(s) (info e)(info e)^T, and rho'' = -rho' / (2 s) there."""
     H = np.zeros((dim, dim))
     g = np.zeros(dim)
     for f, w in zip(factors, weights):
+        v = f.info @ f.e
+        s = float(f.e @ v)
+        W = w * f.info
+        if s > HUBER_THRESHOLD:
+            W = W - w / s * np.outer(v, v)
         for node, J in zip(f.nodes, f.J):
             if node in slot:
                 k = slot[node] * 6
-                H[k : k + 6, k : k + 6] += w * J.T @ f.info @ J
+                H[k : k + 6, k : k + 6] += J.T @ W @ J
                 g[k : k + 6] += w * J.T @ f.info @ f.e
         if len(f.nodes) == 2 and all(node in slot for node in f.nodes):
             ka, kb = (slot[node] * 6 for node in f.nodes)
-            blk = w * f.J[0].T @ f.info @ f.J[1]
+            blk = f.J[0].T @ W @ f.J[1]
             H[ka : ka + 6, kb : kb + 6] += blk
             H[kb : kb + 6, ka : ka + 6] += blk.T
     return H, g

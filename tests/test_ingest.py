@@ -9,6 +9,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -326,6 +327,27 @@ class TestLoadErrors:
                 load_dataset(tmp_path)
             assert info.value.record == (None if cell is None else 3)
 
+    @pytest.mark.parametrize("cell", ["1_5", "\u0661"])
+    def test_number_only_python_reads_in_poses(self, rng, tmp_path, cell):
+        # float() reads these as 15.0 and 1.0; the numeric files' grammar does not.
+        seq, refs = make_dataset(rng)
+        save_dataset(tmp_path, seq, refs)
+        edit_cell(tmp_path / "queries" / "poses.csv", 1, 6, cell)  # tx of the first row
+        with pytest.raises(MalformedRecordError, match=r"field 'tx' = .*queries/poses\.csv:2\]") as info:
+            load_dataset(tmp_path)
+        assert info.value.record == 2
+
+    @pytest.mark.parametrize("cell", ["1_5", "\u0661"])
+    def test_number_only_python_reads_in_covariance(self, rng, tmp_path, cell):
+        seq, refs = make_dataset(rng)
+        save_dataset(tmp_path, seq, refs)
+        path = tmp_path / "queries" / "odometry_covariance.csv"
+        np.savetxt(path, np.eye(6), delimiter=",")
+        edit_cell(path, 2, 2, cell)  # the diagonal of row 2, on line 3
+        with pytest.raises(MalformedRecordError, match="bad covariance value") as info:
+            load_dataset(tmp_path)
+        assert info.value.record == 3
+
     @pytest.mark.parametrize("junk", [b"\xff\xfe", b"x" * 200_000])
     def test_unreadable_table(self, rng, tmp_path, junk):
         # Bytes that are not UTF-8, and a field over the csv module's size limit.
@@ -428,11 +450,19 @@ def test_fuzzed_per_keypoint_cell_loads_or_raises_dataset_error(kind, row, col, 
             pass
 
 
+class Fault(NamedTuple):
+    """Where a numeric file raises: its line, and the column of the cell at
+    fault, or None for a fault of the whole line."""
+
+    line: int
+    column: str | None = None
+
+
 H = "idxA,idxB,score\n"
 ROWS = "0,3,1.0\n2,5,0.5\n"
 LOADED = ([0, 2], [3, 5], [1.0, 0.5])
 # The grammar of the all-numeric files, on a match file: its text, and the
-# (idxA, idxB, score) it loads as, or the line of its MalformedRecordError.
+# (idxA, idxB, score) it loads as, or the Fault its MalformedRecordError names.
 NUMERIC_GRAMMAR = {
     "plain": (H + ROWS, LOADED),
     "crlf": (H.replace("\n", "\r\n") + ROWS.replace("\n", "\r\n"), LOADED),
@@ -441,24 +471,24 @@ NUMERIC_GRAMMAR = {
     "padded cells": (H + " 0 ,+3, 1e0\t\n2,5,.5\n", LOADED),
     "header only": (H, ([], [], [])),
     "largest int64": (H + "9223372036854775807,0,5e-324\n", ([2**63 - 1], [0], [5e-324])),
-    "bom": ("\ufeff" + H + ROWS, 1),
-    "quoted number": (H + '0,3,"1.0"\n', 2),
-    "comment sign": (H + "0,3,1.0#\n", 2),
-    "underscore": (H + ROWS + "1_5,0,1.0\n", 4),
-    "arabic-indic digit": (H + "0,\u0661,1.0\n", 2),
-    "nul": (H + "0,3,1.0\x00\n", 2),
-    "no-break space": (H + "0,3,\u00a01.0\n", 2),
-    "carriage return inside a line": (H + "0,3,1.0\r2,5,0.5\n", 2),
-    "whitespace-only line": (H + "0,3,1.0\n  \n2,5,0.5\n", 3),
-    "comma-only line": (H + "0,3,1.0\n,,\n2,5,0.5\n", 3),
-    "float in int column": (H + "0,3,1.0\n2.0,5,0.5\n", 3),
-    "int64 overflow": (H + "9223372036854775808,3,1.0\n", 2),
-    "infinity after an empty line": (H + "0,3,1.0\n\n2,5,Infinity\n", 4),
-    "nan": (H + "0,3,nan\n", 2),
-    "nan in int column": (H + "nan,3,1.0\n", 2),
-    "extra field": (H + ROWS + "7,1,0.5,0\n", 4),
-    "missing field": (H + "0,3\n", 2),
-    "bad header before a bad line": ("idxA,idxB\n0,3,1_5\n", 1),
+    "bom": ("\ufeff" + H + ROWS, Fault(1)),
+    "quoted number": (H + '0,3,"1.0"\n', Fault(2, "score")),
+    "comment sign": (H + "0,3,1.0#\n", Fault(2, "score")),
+    "underscore": (H + ROWS + "1_5,0,1.0\n", Fault(4, "idxA")),
+    "arabic-indic digit": (H + "0,\u0661,1.0\n", Fault(2, "idxB")),
+    "nul": (H + "0,3,1.0\x00\n", Fault(2, "score")),
+    "no-break space": (H + "0,3,\u00a01.0\n", Fault(2, "score")),
+    "carriage return inside a line": (H + "0,3,1.0\r2,5,0.5\n", Fault(2)),
+    "whitespace-only line": (H + "0,3,1.0\n  \n2,5,0.5\n", Fault(3)),
+    "comma-only line": (H + "0,3,1.0\n,,\n2,5,0.5\n", Fault(3, "idxA")),
+    "float in int column": (H + "0,3,1.0\n2.0,5,0.5\n", Fault(3, "idxA")),
+    "int64 overflow": (H + "9223372036854775808,3,1.0\n", Fault(2, "idxA")),
+    "infinity after an empty line": (H + "0,3,1.0\n\n2,5,Infinity\n", Fault(4, "score")),
+    "nan": (H + "0,3,nan\n", Fault(2, "score")),
+    "nan in int column": (H + "nan,3,1.0\n", Fault(2, "idxA")),
+    "extra field": (H + ROWS + "7,1,0.5,0\n", Fault(4)),
+    "missing field": (H + "0,3\n", Fault(2)),
+    "bad header before a bad line": ("idxA,idxB\n0,3,1_5\n", Fault(1)),
 }
 
 
@@ -468,9 +498,15 @@ def test_numeric_file_grammar(tmp_path, case):
     path = tmp_path / "matches" / "qa__rb.csv"
     path.parent.mkdir()
     path.write_bytes(text.encode())
-    if isinstance(outcome, int):
-        with pytest.raises(MalformedRecordError, match=re.escape(f"qa__rb.csv:{outcome}]")):
+    if isinstance(outcome, Fault):
+        with pytest.raises(MalformedRecordError, match=re.escape(f"qa__rb.csv:{outcome.line}]")) as info:
             read_match_file(path)
+        # The locus is the only line number: no row of a re-parse.
+        assert "row" not in str(info.value)
+        if outcome.column is None:
+            assert "field '" not in str(info.value)
+        else:
+            assert str(info.value).startswith(f"field {outcome.column!r} = ")
         return
     expected = [np.array(c, dtype=t) for c, t in zip(outcome, (np.int64, np.int64, np.float64))]
     assert [a.tobytes() for a in read_match_file(path)] == [e.tobytes() for e in expected]

@@ -10,7 +10,7 @@ from seqloc import pgo
 from seqloc.geometry import Pose, Quaternion, boxplus, se3_exp
 from seqloc.pgo import HUBER_THRESHOLD, PRIOR_SIGMA_SCALE, GraphBuildError, PgoMode, build_graph, optimize
 from seqloc.pose_estimation import PoseEstimate, PoseStatus
-from seqloc.solver import levenberg_marquardt, solve_block_tridiagonal
+from seqloc.solver import huber, levenberg_marquardt, solve_block_tridiagonal
 
 from helpers import block_tridiagonal_dense, pose_allclose, random_pose
 from se3_oracle import boxminus, residual, residual_with_jacobians
@@ -268,8 +268,10 @@ class TestOptimize:
 
         for mode in PgoMode:
             odom, truth = make_chain(rng, n=8)
+            # two estimates far off, the rest near the truth: after one Newton
+            # step the factors at the far ones are still deep in the Huber region
             ests = [
-                estimate(i, boxplus(truth[i], rng.normal(scale=0.3, size=6)), inliers=15 + i)
+                estimate(i, boxplus(truth[i], rng.normal(scale=0.3 if i in (2, 5) else 0.001, size=6)), inliers=15 + i)
                 for i in range(8)
             ]
             g = build_graph(ests, odom, COV, mode=mode)
@@ -304,9 +306,10 @@ class TestOptimize:
 FIRST_ORDER = se3_oracle.se3_right_jacobian_inv_first_order
 
 
-def noisy_chain_graph(rng, n, mode, outliers=()):
-    """Graph over an odometry chain with sigma-level noise, estimates near the
-    truth but for the outliers, 1 m off; factors on both sides of HUBER_THRESHOLD."""
+def noisy_chain_graph(rng, n, mode, outliers=(), t_sigma=0.002, r_sigma_deg=0.02):
+    """Graph over an odometry chain with sigma-level noise, estimates t_sigma
+    and r_sigma_deg from the truth but for the outliers, 1 m off; at the
+    default sigmas, factors on both sides of HUBER_THRESHOLD."""
     odom_true, truth = make_chain(rng, n=n)
     odom = [odom_true[0]]
     for i in range(n - 1):
@@ -315,7 +318,7 @@ def noisy_chain_graph(rng, n, mode, outliers=()):
         odom.append(odom[-1].compose(rel).compose(se3_exp(noise)))
     ests = []
     for i in range(n):
-        d = np.concatenate([rng.normal(scale=0.002, size=3), rng.normal(scale=math.radians(0.02), size=3)])
+        d = np.concatenate([rng.normal(scale=t_sigma, size=3), rng.normal(scale=math.radians(r_sigma_deg), size=3)])
         if i in outliers:
             d[:3] += [1.0, -0.5, 0.2]
         ests.append(estimate(i, boxplus(truth[i], d), inliers=int(rng.integers(10, 60))))
@@ -430,3 +433,55 @@ class TestBatchedAgainstScalarOracle:
         for got, ref in zip(nodes, want_nodes):
             assert pose_allclose(got, ref, atol=1e-9)
         assert nodes[g.fixed] is g.nodes[g.fixed]
+
+
+def robust_cost(s):
+    """Huber at HUBER_THRESHOLD on squared Mahalanobis norms s, summed."""
+    return float(np.where(s <= HUBER_THRESHOLD, s, 2.0 * np.sqrt(HUBER_THRESHOLD * s) - HUBER_THRESHOLD).sum())
+
+
+class TestNewtonWeighting:
+    """The normal equations are the robust cost's own derivatives, the second-order
+    term of the Huber kernel included, and they end the crawl of IRLS weights."""
+
+    @pytest.mark.parametrize("mode", list(PgoMode))
+    def test_normal_equations_are_the_halved_derivatives_of_the_cost(self, rng, mode):
+        # f(delta) = sum_k rho(|e_k + J_k delta|^2_info) over the free nodes' steps
+        # delta; D, C and g must be half its Hessian and gradient at delta = 0.
+        n = 5
+        g = noisy_chain_graph(rng, n, mode, outliers=(2,))
+        _, lin = pgo._evaluate(g, *pgo._node_arrays(perturbed_nodes(rng, g)))
+        assert lin.w.min() < 0.1 and lin.w.max() == 1.0  # both Huber branches
+        free = np.delete(np.arange(n), g.fixed)
+        D, C, grad = pgo._normal_equations(g, lin, free)
+        slot = {int(node): 6 * k for k, node in enumerate(free)}
+        J = np.zeros((len(g.a), 6, 6 * len(free)))  # each factor's rows of the full Jacobian
+        for k, (a, b) in enumerate(zip(g.a.tolist(), g.b.tolist())):
+            if a in slot:
+                J[k, :, slot[a] : slot[a] + 6] = lin.J_a[k]
+            if k < g.n_edges and b in slot:
+                J[k, :, slot[b] : slot[b] + 6] = lin.J_b[k]
+
+        def f(delta):
+            r = lin.e + J @ delta
+            return robust_cost(np.einsum("mi,mij,mj->m", r, g.info, r))
+
+        h = 1e-6
+        E = h * np.eye(J.shape[-1])
+        half_gradient = [(f(d) - f(-d)) / (4 * h) for d in E]
+        half_hessian = [[(f(d + c) - f(d - c) - f(c - d) + f(-d - c)) / (8 * h * h) for c in E] for d in E]
+        np.testing.assert_allclose(grad.ravel(), half_gradient, rtol=0, atol=1e-5 * np.abs(grad).max())
+        H = block_tridiagonal_dense(D, C)
+        np.testing.assert_allclose(H, half_hessian, rtol=0, atol=1e-5 * np.abs(H).max())
+
+    def test_deep_huber_graph_converges(self, monkeypatch):
+        # PnP estimates 10 cm and 1 deg off against prior sigmas of 6-16 mm: the
+        # priors lie deep in the Huber region. With the IRLS weights alone,
+        # w J^T info J, the steps crawl and the iteration budget runs out.
+        g = noisy_chain_graph(np.random.default_rng(8), 10, PgoMode.PRIOR_AUGMENTED, t_sigma=0.1, r_sigma_deg=1.0)
+        _, rep = optimize(g)
+        assert rep.converged and rep.iterations < 30
+        monkeypatch.setattr(pgo, "huber", lambda s, threshold: (*huber(s, threshold)[:2], np.zeros(len(s))))
+        _, irls = optimize(g)
+        assert irls.iterations == 100 and not irls.converged
+        assert rep.final_cost < irls.final_cost

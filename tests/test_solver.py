@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqloc.pgo import HUBER_THRESHOLD
 from seqloc.solver import COST_FLOOR, MAX_TRIALS, huber, levenberg_marquardt, solve_block_tridiagonal
@@ -43,7 +45,7 @@ class TestHuber:
     @pytest.mark.parametrize("delta", [2.0, 0.7, 3.3])
     def test_cost_matches_refine_pose_formula(self, rng, delta):
         e = np.concatenate([[0.0, 1e-160], around(delta), rng.uniform(0, 4 * delta, 300)])
-        rho, _ = huber(e**2, delta**2)
+        rho, _, _ = huber(e**2, delta**2)
         assert min(e) < delta < max(e)
         assert rho.tolist() == [_huber_cost(np.array([x]), delta) for x in e]
         assert float(rho.sum()) == _huber_cost(e, delta)
@@ -55,20 +57,29 @@ class TestHuber:
         r = np.column_stack([norm * np.cos(angle), norm * np.sin(angle)])
         r[0] = 0.0
         r[1:4] = np.column_stack([around(delta), np.zeros(3)])  # norms at and next to delta
-        _, w = huber((r * r).sum(axis=1), delta**2)
+        _, w, _ = huber((r * r).sum(axis=1), delta**2)
         assert (w == _inline_weight(r, delta)).all()
         assert w.min() < 1.0 == w.max()
 
     def test_matches_pgo_formula(self, rng):
         s = [0.0, *around(HUBER_THRESHOLD), *rng.uniform(0, 10 * HUBER_THRESHOLD, 300)]
-        rho, w = huber(s, HUBER_THRESHOLD)
+        rho, w, _ = huber(s, HUBER_THRESHOLD)
         want = [_rho_and_weight(x) for x in s]
         assert rho.tolist() == [c for c, _ in want]
         assert w.tolist() == [x for _, x in want]
 
+    def test_second_derivative_is_the_slope_of_the_weight(self, rng):
+        # rho'' = d rho' / ds: 0 on the quadratic branch, -rho' / (2 s) beyond it
+        s = np.concatenate([rng.uniform(0.01, 0.99, 50), rng.uniform(1.01, 10, 50)]) * HUBER_THRESHOLD
+        h = 1e-6 * s
+        _, w, w2 = huber(s, HUBER_THRESHOLD)
+        slope = (huber(s + h, HUBER_THRESHOLD)[1] - huber(s - h, HUBER_THRESHOLD)[1]) / (2 * h)
+        np.testing.assert_allclose(w2, slope, rtol=1e-6, atol=1e-12)
+        assert (w2[:50] == 0.0).all() and (w2[50:] < 0.0).all()
+
     def test_infinite_norm(self):
-        rho, w = huber([math.inf], 4.0)
-        assert rho[0] == math.inf and w[0] == 0.0
+        rho, w, w2 = huber([math.inf], 4.0)
+        assert rho[0] == math.inf and w[0] == 0.0 == w2[0]
 
 
 def rosenbrock():
@@ -221,6 +232,27 @@ class TestBlockTridiagonal:
         want = np.linalg.solve(block_tridiagonal_dense(D, C), r.ravel())
         assert x.shape == r.shape
         np.testing.assert_allclose(x.ravel(), want, rtol=0, atol=1e-10 * np.abs(want).max())
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(0, 40),
+        b=st.sampled_from([1, 2, 6]),
+        cut=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_solve_with_zero_couplings(self, n, b, cut, seed):
+        # A share cut of the couplings zeroed, as at the fixed node's gap in a
+        # pose chain: the system stays positive definite, possibly in pieces.
+        rng = np.random.default_rng(seed)
+        D, C, r = random_chain_system(rng, n, b)
+        C[rng.random(len(C)) < cut] = 0.0
+        x = solve_block_tridiagonal(D, C, r)
+        assert x.shape == (n, b)
+        if n:
+            A = block_tridiagonal_dense(D, C)
+            want = np.linalg.solve(A, r.ravel())
+            tol = 1e-13 * np.linalg.cond(A) * np.abs(want).max()
+            np.testing.assert_allclose(x.ravel(), want, rtol=0, atol=tol)
 
     def test_no_blocks(self):
         x = solve_block_tridiagonal(np.zeros((0, 6, 6)), np.zeros((0, 6, 6)), np.zeros((0, 6)))

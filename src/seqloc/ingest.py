@@ -4,7 +4,7 @@ Directory layout (all files CSV with a header row):
 
     queries/poses.csv            frame_id,camera_id,qw,qx,qy,qz,tx,ty,tz
     queries/intrinsics.csv       camera_id,fx,fy,cx,cy,width,height
-    queries/keypoints/<id>.csv   idx,u,v
+    queries/keypoints/<id>.csv   idx,u,v                    (one per frame)
     queries/descriptors/<id>.csv idx,d0,...,d{D-1}          (optional)
     queries/global_descriptors.csv  frame_id,g0,...,g{G-1}  (optional)
     queries/point_ids/<id>.csv   idx,point_id               (optional, synthetic data)
@@ -15,6 +15,9 @@ Directory layout (all files CSV with a header row):
     matches/<A>__<B>.csv         idxA,idxB,score            (optional, precomputed)
 
 Query poses are odometry T(q<-frame); reference poses are global T(r<-frame).
+Every pose cell (qw..tz, in poses.csv and rig_extrinsics.csv) must hold a
+number; a blank one raises MalformedRecordError at its line. Descriptor rows,
+per keypoint and global, must have unit norm within UNIT_TOL.
 Multi-camera rig captures name their frames "<instance>/<camera_id>"; plain ids
 are treated as single-camera rigs. Frame instance ids must sort temporally,
 with digit runs compared as numbers ("q9" before "q10").
@@ -140,6 +143,10 @@ _PER_KEYPOINT = {
     "descriptors": ("idx",),
     "point_ids": ("idx", "point_id"),
 }
+
+# Largest disagreement between a descriptor's norm and 1: matching and retrieval
+# take dot products of descriptors as cosines.
+UNIT_TOL = 1e-3
 
 # Largest disagreement between a rig camera's odometry pose and the rig pose
 # composed with that camera's extrinsic.
@@ -298,19 +305,25 @@ def _write_table(path: Path, header, rows) -> None:
         csv.writer(fh).writerows([header, *rows])
 
 
-def _parse_pose_fields(table: _Table) -> list[Pose | None]:
-    """Each row's qw..tz as a Pose; None where those cells are all blank or absent."""
-    cols = [table.header.index(c) for c in _POSE_COLUMNS if c in table.header]
-    posed = [i for i, r in enumerate(table.rows) if any(r[j] for j in cols)]
-    lines = [table.lines[i] for i in posed]
-    sub = _Table(table.path, table.header, [table.rows[i] for i in posed], lines)
-    poses: list[Pose | None] = [None] * len(table.rows)
-    for i, line, a in zip(posed, lines, _block(sub, _POSE_COLUMNS).tolist()):
+def _parse_poses(table: _Table) -> list[Pose]:
+    """Each row's qw..tz as a Pose; every one of those cells must be a number."""
+    poses = []
+    for line, a in zip(table.lines, _block(table, _POSE_COLUMNS).tolist()):
         try:
-            poses[i] = Pose.from_array7(a)
+            poses.append(Pose.from_array7(a))
         except ValueError as e:
             raise MalformedRecordError(str(e), path=table.path, record=line)
     return poses
+
+
+def _check_unit_rows(rows: np.ndarray, what: str, path: Path, lines: list[int]) -> None:
+    """The first row of a descriptor block whose norm is off 1 by more than
+    UNIT_TOL raises InvariantError at its line."""
+    with np.errstate(over="ignore"):  # an overflowing norm fails the check
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    off = np.flatnonzero(np.abs(norms - 1.0) > UNIT_TOL)
+    if len(off):
+        raise InvariantError(f"{what} has norm {norms[off[0]]:.4f}", path, lines[off[0]])
 
 
 def read_match_file(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -349,13 +362,14 @@ def _load_intrinsics(side: Path) -> dict[str, CameraIntrinsics]:
 
 
 def _load_per_keypoint(side: Path, frame: Frame, kind: str) -> None:
-    """Set frame.<kind> from its per-keypoint file, if there is one.
+    """Set frame.<kind> from its per-keypoint file; only the keypoints file is required.
 
     Each row's idx must be a distinct integer in [0, n); the row goes to that
-    index. Files other than the keypoints need one row per keypoint.
+    index. Files other than the keypoints need one row per keypoint, and
+    descriptor rows unit norm.
     """
     path = side / kind / f"{_file_stem(frame.frame_id)}.csv"
-    if not path.is_file():
+    if kind != "keypoints" and not path.is_file():
         return
     ints, floats, body = _read_numeric(path, _PER_KEYPOINT[kind])
     n = len(ints)
@@ -374,6 +388,8 @@ def _load_per_keypoint(side: Path, frame: Frame, kind: str) -> None:
             seen.add(i)
 
     values = ints[:, 1] if kind == "point_ids" else floats
+    if kind == "descriptors":
+        _check_unit_rows(values, f"descriptor of {frame.frame_id}", path, _row_lines(body))
     if kind == "keypoints":
         values = floats[:, :2]  # (u, v), whatever columns follow
         u, v = values.T
@@ -398,7 +414,7 @@ def _load_side(side: Path, *, query_side: bool) -> list[Frame]:
 
     if poses_path.is_file():
         table = _read_table(poses_path, ("frame_id", "camera_id"))
-        poses = _parse_pose_fields(table)
+        poses = _parse_poses(table)
         for (frame_id, cam, *_), line, pose in zip(table.rows, table.lines, poses):
             if cam not in intrinsics:
                 raise InvariantError(
@@ -426,6 +442,7 @@ def _load_side(side: Path, *, query_side: bool) -> list[Frame]:
     if gd_path.is_file():
         table = _read_table(gd_path, ("frame_id",))
         vectors = _block(table, table.header[1:])
+        _check_unit_rows(vectors, "global descriptor", gd_path, table.lines)
         for (frame_id, *_), line, g in zip(table.rows, table.lines, vectors):
             if frame_id not in by_id:
                 raise InvariantError(
@@ -435,13 +452,9 @@ def _load_side(side: Path, *, query_side: bool) -> list[Frame]:
                 raise InvariantError(
                     f"second global descriptor of {frame_id!r}", path=gd_path, record=line
                 )
-            with np.errstate(over="ignore"):  # an overflowing norm fails the check below
-                n = np.linalg.norm(g)
-            if abs(n - 1.0) > 1e-3:
-                raise InvariantError(
-                    f"global descriptor of {frame_id} has norm {n:.4f}", path=gd_path, record=line
-                )
-            by_id[frame_id].global_descriptor = g / n
+            # Divided by its norm as np.linalg.norm computes it: the histogram
+            # descriptors of synthetic scenes tie, and an ulp decides their order.
+            by_id[frame_id].global_descriptor = g / np.linalg.norm(g)
     return frames
 
 
@@ -484,11 +497,7 @@ def _load_rig_definitions(root: Path) -> list[tuple[str, list[tuple[str, Pose]]]
         return []
     table = _read_table(path, ("rig_id", "camera_id"))
     rigs: dict[str, list[tuple[str, Pose]]] = {}
-    for (rig_id, cam, *_), line, pose in zip(table.rows, table.lines, _parse_pose_fields(table)):
-        if pose is None:
-            raise InvariantError(
-                f"extrinsic missing for rig {rig_id!r} camera {cam!r}", path=path, record=line
-            )
+    for (rig_id, cam, *_), pose in zip(table.rows, _parse_poses(table)):
         rigs.setdefault(rig_id, []).append((cam, pose))
     return list(rigs.items())
 
@@ -530,12 +539,6 @@ def _group_into_rigs(frames: list[Frame], rig_defs, poses_path) -> list[Rig]:
                     path=poses_path,
                 )
             cams = matches[0][1]
-        for f in members:
-            if f.pose is None:
-                raise InvariantError(
-                    f"query frame {f.frame_id!r} is missing its odometry pose",
-                    path=poses_path,
-                )
         extr = dict(cams)
         first = members[0]
         rig_pose = first.pose.compose(extr[first.camera_id].inverse())
@@ -598,12 +601,6 @@ def load_dataset(root) -> tuple[list[QuerySequence], list[Frame]]:
     references = _load_side(ref_dir, query_side=False)
     if not references:
         raise InvariantError("no reference frames", path=ref_dir)
-    for f in references:
-        if f.pose is None:
-            raise InvariantError(
-                f"reference frame {f.frame_id!r} has no pose",
-                path=root / "references" / "poses.csv",
-            )
 
     query_frames = _load_side(root / "queries", query_side=True)
     rig_defs = _load_rig_definitions(root)

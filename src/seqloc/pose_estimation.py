@@ -33,8 +33,17 @@ class CameraView:
 
 
 class PoseStatus(str, enum.Enum):
+    """How a frame's pose estimation ended; only LOCALIZED carries a trusted pose.
+
+    REJECTED_FEW_INLIERS: the best model has fewer than min_inliers inliers.
+    REJECTED_DEGENERATE: the main camera's points are collinear (COLLINEAR_TOL),
+    so no pose is fixed by them; no sample was drawn.
+    SKIPPED_NO_NEIGHBOR, SKIPPED_NO_MATCHES: too little input to try.
+    """
+
     LOCALIZED = "localized"
     REJECTED_FEW_INLIERS = "rejected_few_inliers"
+    REJECTED_DEGENERATE = "rejected_degenerate"
     SKIPPED_NO_NEIGHBOR = "skipped_no_neighbor"
     SKIPPED_NO_MATCHES = "skipped_no_matches"
 
@@ -70,6 +79,10 @@ def _cubic_root(e2: np.ndarray, e1: np.ndarray, e0: np.ndarray) -> np.ndarray:
     return t
 
 
+# Points are collinear when their second extent is at most this share of the
+# first: |cross| against the longest squared pair of a P3P sample, s2 against s1
+# (singular values of the centred points) of lo_ransac_pnp's support.
+COLLINEAR_TOL = 1e-9
 POLISH_STEPS = 1  # Gauss-Newton steps of each P3P pose on its own sample
 _PAIRS = np.array([[0, 1], [0, 2], [1, 2]]).T  # the sample's point pairs, one constraint each
 _LONGEST_LAST = np.array([[2, 0, 1], [1, 0, 2], [0, 1, 2]])  # reorderings, by longest pair
@@ -100,7 +113,7 @@ def p3p(points3d, pixels, K: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray, 
     y /= np.linalg.norm(y, axis=2, keepdims=True)
     a, (b01, b02, b12) = _dot(X[:, i] - X[:, j], X[:, i] - X[:, j]), _dot(y[:, i], y[:, j]).T
     span2 = np.maximum(np.maximum(a[:, 0], a[:, 1]), 1e-24)
-    good = np.linalg.norm(_cross(X[:, 1] - X[:, 0], X[:, 2] - X[:, 0]), axis=1) >= 1e-9 * span2
+    good = np.linalg.norm(_cross(X[:, 1] - X[:, 0], X[:, 2] - X[:, 0]), axis=1) >= COLLINEAR_TOL * span2
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r1, r2 = a[:, 0] / a[:, 2], a[:, 1] / a[:, 2]
@@ -163,32 +176,6 @@ def p3p(points3d, pixels, K: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray, 
             q, t = compose_many(q, t, *se3_exp_many(delta))
         exact = front.all(axis=1) & (np.linalg.norm(r, axis=2) < 1e-6).all(axis=1)
     return q[exact], t[exact], sample[exact]
-
-
-def dlt_pnp(points3d, pixels, K: CameraIntrinsics) -> Pose | None:
-    """>= 6-point linear PnP fallback: homogeneous DLT, SO(3) projection."""
-    pts, pix = np.asarray(points3d, dtype=float), np.asarray(pixels, dtype=float)
-    n = len(pts)
-    if n < 6:
-        return None
-    xn = np.column_stack([(pix[:, 0] - K.cx) / K.fx, (pix[:, 1] - K.cy) / K.fy])
-    X = np.column_stack([pts, np.ones(n)])
-    A = np.zeros((n, 2, 12))  # rows 2i and 2i+1: point i's u and v equations
-    A[:, 0, 0:4] = A[:, 1, 4:8] = X
-    A[:, :, 8:12] = -xn[:, :, None] * X[:, None]
-    _, _, vt = np.linalg.svd(A.reshape(2 * n, 12))
-    P = vt[-1].reshape(3, 4)
-    # fix sign by cheirality of the centroid
-    if (P @ np.append(pts.mean(axis=0), 1.0))[2] < 0:
-        P = -P
-    U, S, Vt = np.linalg.svd(P[:, :3])
-    if S.min() < 1e-12:
-        return None
-    R = U @ Vt
-    if np.linalg.det(R) < 0:
-        R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
-    t = P[:, 3] / S.mean()
-    return Pose.from_rt(R, t)
 
 
 # --- residuals and robust refinement -------------------------------------------
@@ -313,6 +300,11 @@ def lo_ransac_pnp(
 ) -> PoseEstimate:
     """LO-RANSAC over blocks of BLOCK P3P samples with nonlinear local optimization.
 
+    Hypotheses come from the main camera, the view with the most
+    correspondences. Fewer than 3 there end SKIPPED_NO_MATCHES; collinear ones
+    (second singular value of the centred points at most COLLINEAR_TOL times the
+    first) end REJECTED_DEGENERATE before any sample is drawn, since a line does
+    not fix a pose. Either way the estimate has no pose and 0 iterations.
     Deterministic for a given seed. Models rank by inlier count, ties by lower
     inlier RMS, then by order in the block. Local optimization (refinement on
     the inlier set, after Lebeda, Matas & Chum, BMVC 2012) runs only when a
@@ -328,9 +320,11 @@ def lo_ransac_pnp(
     main_sel = np.flatnonzero(cam_idx == main_cam)
     if len(main_sel) < 3:
         return PoseEstimate(frame_id, None, 0, np.zeros(n, dtype=bool), PoseStatus.SKIPPED_NO_MATCHES)
+    s = np.linalg.svd(points[main_sel] - points[main_sel].mean(axis=0), compute_uv=False)
+    if s[1] <= COLLINEAR_TOL * s[0]:
+        return PoseEstimate(frame_id, None, 0, np.zeros(n, dtype=bool), PoseStatus.REJECTED_DEGENERATE)
     K_main = views[main_cam].K
-    T_global_from_cam = views[main_cam].T_cam_from_global.inverse()
-    q_gc, t_gc = _arrays(T_global_from_cam)
+    q_gc, t_gc = _arrays(views[main_cam].T_cam_from_global.inverse())
 
     rng = np.random.default_rng(seed)
     best_pose, best_mask, best_count, best_rms = None, np.zeros(n, dtype=bool), 0, math.inf
@@ -372,11 +366,6 @@ def lo_ransac_pnp(
             w3 = (best_count / n) ** 3
             log_miss = math.log(max(1e-12, 1.0 - confidence))
             needed = it if w3 >= 1.0 else min(max_iters, math.ceil(log_miss / math.log(1.0 - w3)))
-
-    if best_pose is None:  # every sampled triple was degenerate: linear fallback on the main camera
-        T_lin = dlt_pnp(points[main_sel], pixels[main_sel], K_main)
-        if T_lin is not None:
-            consider(*_arrays(T_global_from_cam.compose(T_lin)))
 
     if best_count >= 3 and best_pose is not refined_from:  # else it would repeat a rejected refinement
         consider(*_arrays(refine_on_inliers()))

@@ -268,7 +268,48 @@ class TestLoadErrors:
         rows[2][2:] = [""] * 7  # blank out frame q0001's pose
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
-        with pytest.raises(InvariantError, match="q0001"):
+        with pytest.raises(MalformedRecordError, match=r"queries/poses\.csv:3\]"):
+            load_dataset(tmp_path)
+
+    def test_reference_without_pose(self, rng, tmp_path):
+        seq, refs = make_dataset(rng)
+        save_dataset(tmp_path, seq, refs)
+        path = tmp_path / "references" / "poses.csv"
+        for col in range(2, 9):  # blank out frame r0001's pose
+            edit_cell(path, 2, col, "")
+        with pytest.raises(MalformedRecordError, match=r"field 'qw' = ''.*references/poses\.csv:3\]"):
+            load_dataset(tmp_path)
+
+    def test_missing_keypoints_file(self, rng, tmp_path):
+        # Descriptors and point ids are optional; the keypoints file is not.
+        save_with_point_ids(rng, tmp_path)
+        for kind in ("descriptors", "point_ids"):
+            (tmp_path / "queries" / kind / "q0002.csv").unlink()
+        frame = load_dataset(tmp_path)[0][0].rigs[2].frames["cam0"]
+        assert frame.descriptors is None and frame.point_ids is None and len(frame.keypoints) == 5
+        (tmp_path / "queries" / "keypoints" / "q0002.csv").unlink()
+        with pytest.raises(MissingFileError, match=r"keypoints/q0002\.csv\]"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("scale", [5.0, 0.99, 1e200])
+    def test_descriptor_rows_must_be_unit(self, rng, tmp_path, scale):
+        # 1 +- 1e-3 is the global descriptors' rule. A row within it loads as
+        # written; scaled off it, the row raises at its line.
+        seq, _ = save_with_point_ids(rng, tmp_path)
+        path = tmp_path / "queries" / "descriptors" / "q0001.csv"
+        lines = path.read_text().splitlines()
+        idx, *row = lines[3].split(",")  # keypoint 2's row
+
+        def write(factor):
+            lines[3] = ",".join([idx, *(repr(float(c) * factor) for c in row)])
+            path.write_text("\n".join(lines) + "\n")
+
+        write(1.0009)
+        want = seq.rigs[1].frames["cam0"].descriptors.copy()
+        want[2] *= 1.0009  # the file holds each product's repr, which reads back exactly
+        assert load_dataset(tmp_path)[0][0].rigs[1].frames["cam0"].descriptors.tobytes() == want.tobytes()
+        write(scale)
+        with pytest.raises(InvariantError, match=r"descriptor of q0001 has norm.*descriptors/q0001\.csv:4\]"):
             load_dataset(tmp_path)
 
     def test_keypoint_out_of_bounds(self, rng, tmp_path):
@@ -514,10 +555,12 @@ def test_numeric_file_grammar(tmp_path, case):
 
 def test_over_long_numeric_field_loads(rng, tmp_path):
     # Longer than the csv module's field limit; loadtxt reads it as the number it is.
-    save_with_point_ids(rng, tmp_path)
-    edit_cell(tmp_path / "queries" / "descriptors" / "q0001.csv", 2, 3, "0." + "0" * 131072 + "1")
+    # The cell keeps its value behind leading zeros, so its row stays unit.
+    seq, _ = save_with_point_ids(rng, tmp_path)
+    pad = lambda rows: re.sub(r"^([+-]?)", r"\g<1>" + "0" * 131072, rows[2][3])
+    edit_cell(tmp_path / "queries" / "descriptors" / "q0001.csv", 2, 3, pad)
     loaded, _ = load_dataset(tmp_path)
-    assert loaded[0].rigs[1].frames["cam0"].descriptors[1, 2] == 0.0
+    assert loaded[0].rigs[1].frames["cam0"].descriptors[1, 2] == seq.rigs[1].frames["cam0"].descriptors[1, 2]
 
 
 def test_keypoints_with_an_extra_column_load(rng, tmp_path):

@@ -15,32 +15,30 @@ Directory layout (all files CSV with a header row):
     matches/<A>__<B>.csv         idxA,idxB,score            (optional, precomputed)
 
 Query poses are odometry T(q<-frame); reference poses are global T(r<-frame).
-Every pose cell (qw..tz, in poses.csv and rig_extrinsics.csv) must hold a
-number; a blank one raises MalformedRecordError at its line. Descriptor rows,
-per keypoint and global, must have unit norm within UNIT_TOL.
+Descriptor rows, per keypoint and global, must have unit norm within UNIT_TOL.
 Multi-camera rig captures name their frames "<instance>/<camera_id>"; plain ids
 are treated as single-camera rigs. Frame instance ids must sort temporally,
 with digit runs compared as numbers ("q9" before "q10").
 Every camera's odometry pose in an instance must equal the rig pose composed
 with that camera's extrinsic, to within RIG_TOL_M and RIG_TOL_RAD.
 
-The all-numeric files (keypoints, descriptors, point_ids, matches) are ASCII.
-Their lines end at a newline, carriage returns before it are dropped, and empty
-lines are skipped. Each cell holds one number as np.loadtxt reads it, with no
-quotes and no comments: the leading idx, point_id, idxA and idxB columns are
-int64, every other column float64. One np.loadtxt call parses a file's body;
-the tables that hold strings go through the csv module, and their numeric
-cells, like the odometry covariance's, are read in the same grammar.
+Every file is UTF-8 text in one grammar. Lines end at a newline, carriage
+returns before it are dropped, empty lines are skipped, and a line splits at
+every comma, with no quoting and no comments. The id cells (frame_id, camera_id,
+rig_id) are text, stripped and not empty. Every other cell holds one ASCII
+number as np.loadtxt reads it: int64 in the idx, point_id, idxA, idxB, width and
+height columns, finite float64 elsewhere and in the headerless covariance.
+save_dataset writes LF line ends, and raises ValueError on an id the grammar
+cannot hold: empty, or with a comma, CR, LF or surrounding whitespace.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -130,9 +128,9 @@ def default_odometry_covariance() -> np.ndarray:
 
 _POSE_COLUMNS = ("qw", "qx", "qy", "qz", "tx", "ty", "tz")
 
-# Integer columns of the per-keypoint and match files, where they lead the expected
-# header; every other column is a float.
-_INT_COLUMNS = frozenset({"idx", "point_id", "idxA", "idxB"})
+# Integer columns, wherever they stand in a header; every other numeric column
+# is a float.
+_INT_COLUMNS = frozenset({"idx", "point_id", "idxA", "idxB", "width", "height"})
 
 # One cell or line of the numeric files per element of its first argument.
 _loadtxt = partial(np.loadtxt, delimiter=",", comments=None, quotechar=None, ndmin=1)
@@ -156,159 +154,134 @@ RIG_TOL_RAD = 1e-4
 
 @dataclass(frozen=True)
 class _Table:
-    """One CSV file: its header, the stripped cells of each non-blank row, their lines."""
+    """A file as _read parses it: the text cells and the numbers of each row."""
 
     path: Path
-    header: list[str]
-    rows: list[list[str]]
-    lines: list[int]
+    columns: list[str]  # the header's numeric columns
+    text: list[list[str]]  # each row's leading text cells
+    cells: np.ndarray  # (rows, columns) float64; an int64 column holds its ints' bits
+    body: list[str]  # the lines after the header
+
+    @cached_property
+    def lines(self) -> list[int]:
+        """The line of each row: empty lines are not rows."""
+        return [line for line, s in enumerate(self.body, start=2) if s]
+
+    def block(self, columns) -> np.ndarray:
+        """The named columns as one (rows, columns) array: int64 when they are
+        named in _INT_COLUMNS, float64 when none is."""
+        index = {c: j for j, c in enumerate(self.columns)}
+        try:
+            block = self.cells[:, [index[c] for c in columns]]
+        except KeyError as e:
+            raise MalformedRecordError(f"column {e.args[0]!r} missing", self.path, 1) from None
+        if _INT_COLUMNS.isdisjoint(columns):
+            return block
+        if not _INT_COLUMNS.issuperset(columns):
+            raise MalformedRecordError(f"columns {list(columns)} mix integers and floats", self.path, 1)
+        return block.view(np.int64)
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _check_header(header: list[str], path: Path, expected_header) -> None:
+def _text(cell: str) -> str:
+    """cell, checked to be a text cell that a table holds as it is."""
+    if not cell or cell != cell.strip() or re.search("[,\r\n]", cell):
+        raise ValueError(f"{cell!r} is empty or holds a comma, CR, LF or surrounding whitespace")
+    return cell
+
+
+def _decode(path: Path) -> list[str]:
+    """The lines of a UTF-8 file, without the newline and the carriage returns
+    that end them; a byte that is not UTF-8 raises MalformedRecordError at its line."""
+    if not path.is_file():
+        raise MissingFileError("required file missing", path=path)
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise MalformedRecordError(f"byte {data[e.start]:#04x} is not UTF-8", path, line) from None
+    lines = text.split("\n")
+    return [s.rstrip("\r") for s in lines] if "\r" in text else lines
+
+
+def _number(cell: str, dtype):
+    """The finite number of dtype that cell holds as np.loadtxt reads a cell, or None."""
+    # loadtxt skips an empty line, ends a line at a carriage return, and can
+    # crash on text that is not ASCII.
+    if not (cell and cell.isascii()) or "\r" in cell:
+        return None
+    try:
+        value = _loadtxt([cell], dtype=dtype)
+    except (ValueError, OverflowError):
+        return None
+    return value[0] if value.shape == (1,) and np.isfinite(value[0]) else None
+
+
+def _read(path: Path, expected_header, n_text: int = 0) -> _Table:
+    """A CSV file whose header starts with expected_header, as a _Table.
+
+    Each non-empty line splits at every comma. Its first n_text cells are text,
+    stripped and not empty; every other cell of the file is parsed by one
+    np.loadtxt call. Only when that call fails, or a float is not finite, are
+    the lines parsed one at a time, and the first fault raises
+    MalformedRecordError at its line.
+    """
+    lines = _decode(path)
+    header, body = [h.strip() for h in lines[0].split(",")], lines[1:]
     if len(set(header)) != len(header):
         raise MalformedRecordError(f"header {header} repeats a column name", path, 1)
     if header[: len(expected_header)] != list(expected_header):
-        raise MalformedRecordError(
-            f"header {header} does not start with {list(expected_header)}", path, 1
-        )
-
-
-def _read_table(path: Path, expected_header=()) -> _Table:
-    """Read a CSV file, checking its header and the field count of every row."""
-    if not path.is_file():
-        raise MissingFileError("required file missing", path=path)
-    rows, lines = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        raise MalformedRecordError(f"header {header} does not start with {list(expected_header)}", path, 1)
+    columns = header[n_text:]
+    if not columns:
+        raise MalformedRecordError(f"header {header} has no numeric column", path, 1)
+    is_int = np.array([c in _INT_COLUMNS for c in columns])
+    dtype = np.dtype([(f"c{j}", np.int64 if i else np.float64) for j, i in enumerate(is_int)])
+    text, numbers, whole = [], body, True
+    if n_text:
+        rows = [s.split(",", n_text) for s in body if s]
+        text = [[c.strip() for c in r[:n_text]] for r in rows]
+        numbers = [r[-1] for r in rows]
+        whole = all(len(r) > n_text and all(t) for r, t in zip(rows, text)) and all(numbers)
+    if whole and all(map(str.isascii, numbers)):  # loadtxt can crash on text that is not ASCII
         try:
-            header = [h.strip() for h in next(reader)]
-            _check_header(header, path, expected_header)
-            for lineno, raw in enumerate(reader, start=2):
-                cells = [c.strip() for c in raw]
-                if not any(cells):
-                    continue
-                if len(cells) != len(header):
-                    raise MalformedRecordError(
-                        f"expected {len(header)} fields, got {len(cells)}", path, lineno
-                    )
-                rows.append(cells)
-                lines.append(lineno)
-        except StopIteration:
-            raise MalformedRecordError("empty file, header expected", path=path)
-        except (csv.Error, UnicodeDecodeError) as e:
-            raise MalformedRecordError(f"unreadable as CSV text: {e}", path=path)
-    return _Table(path, header, rows, lines)
-
-
-def _numbers(cells: list[str], dtype) -> np.ndarray | None:
-    """cells as a (len(cells),) array of dtype, each read as one cell of the
-    numeric files; None when one of them is not a number there."""
-    if not cells:
-        return np.zeros(0, dtype)
-    # loadtxt skips an empty line and can crash on text that is not ASCII.
-    if not all(c and c.isascii() for c in cells):
-        return None
-    try:
-        values = _loadtxt(cells, dtype=dtype)  # each cell a line of its own
-    except (ValueError, OverflowError):
-        return None
-    return values if values.shape == (len(cells),) else None
-
-
-def _is_finite_number(cell: str, dtype) -> bool:
-    value = _numbers([cell], dtype)
-    return value is not None and bool(np.isfinite(value).all())
-
-
-def _not_a_number(column: str, cell: str, dtype, path: Path, line: int) -> MalformedRecordError:
-    kind = "a 64-bit integer" if np.dtype(dtype).kind == "i" else "a finite number"
-    return MalformedRecordError(f"field {column!r} = {cell!r} is not {kind}", path, line)
-
-
-def _block(table: _Table, columns, dtype=np.float64) -> np.ndarray:
-    """The named columns as one (rows, columns) array.
-
-    Every cell must be a finite number (a 64-bit integer for an integer dtype)
-    as a cell of the numeric files reads; the first that is not raises
-    MalformedRecordError naming its line.
-    """
-    if not table.rows:
-        return np.zeros((0, len(columns)), dtype=dtype)
-    missing = [c for c in columns if c not in table.header]
-    if missing:
-        raise MalformedRecordError(f"column {missing[0]!r} missing", table.path, 1)
-    cols = [table.header.index(c) for c in columns]
-    cells = [r[j] for r in table.rows for j in cols]
-    block = _numbers(cells, dtype)
-    if block is not None and np.isfinite(block).all():
-        return block.reshape(len(table.rows), len(cols))
-    for k, cell in enumerate(cells):
-        if not _is_finite_number(cell, dtype):
-            row, col = divmod(k, len(cols))
-            raise _not_a_number(columns[col], cell, dtype, table.path, table.lines[row])
-
-
-def _read_numeric(path: Path, expected_header) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """An all-numeric file as its int64 and its float64 (rows, columns) blocks, and its body lines.
-
-    The int64 columns are the expected header's columns named in _INT_COLUMNS,
-    which lead it. A fault raises MalformedRecordError at its line, naming the
-    column where one cell is at fault.
-    """
-    if not path.is_file():
-        raise MissingFileError("required file missing", path=path)
-    text = path.read_bytes().decode("utf-8", errors="replace")
-    lines = [s.rstrip("\r") for s in text.split("\n")]
-    header, body = [h.strip() for h in lines[0].split(",")], lines[1:]
-    _check_header(header, path, expected_header)
-    n_int = sum(c in _INT_COLUMNS for c in expected_header)
-    types = [np.int64 if j < n_int else np.float64 for j in range(len(header))]
-    dtype = np.dtype([(f"c{j}", t) for j, t in enumerate(types)])
-    try:
-        if text.isascii():  # loadtxt can crash on text that is not ASCII
-            rows = _loadtxt(body, dtype=dtype) if any(body) else np.zeros(0, dtype)
-            cells = rows.view(np.float64).reshape(len(rows), len(header))
-            if np.isfinite(cells[:, n_int:]).all():
-                return cells[:, :n_int].view(np.int64), cells[:, n_int:], body
-    except ValueError:
-        pass
-    if not lines[0].isascii():
-        raise MalformedRecordError("header is not ASCII", path, 1)
+            parsed = _loadtxt(numbers, dtype=dtype) if any(numbers) else np.zeros(0, dtype)
+            cells = parsed.view(np.float64).reshape(len(parsed), len(columns))
+            if np.isfinite(cells[:, ~is_int]).all():
+                return _Table(path, columns, text, cells, body)
+        except ValueError:
+            pass
     for line, s in enumerate(body, start=2):  # the first line at fault
         if not s:
             continue
         cells = s.split(",")
         if len(cells) != len(header):
             raise MalformedRecordError(f"expected {len(header)} fields, got {len(cells)}", path, line)
-        for column, cell, t in zip(header, cells, types):
-            if not _is_finite_number(cell, t):
-                raise _not_a_number(column, cell, t, path, line)
-        try:
-            _loadtxt([s], dtype=dtype)
-        except ValueError:
-            raise MalformedRecordError("unreadable as numbers", path, line) from None
+        for column, cell in zip(header, cells[:n_text]):
+            if not cell.strip():
+                raise MalformedRecordError(f"field {column!r} is empty", path, line)
+        for column, cell, i in zip(columns, cells[n_text:], is_int):
+            if _number(cell, np.int64 if i else np.float64) is None:
+                kind = "a 64-bit integer" if i else "a finite number"
+                raise MalformedRecordError(f"field {column!r} = {cell!r} is not {kind}", path, line)
     raise MalformedRecordError("unreadable as numbers", path)
 
 
-def _row_lines(body: list[str]) -> list[int]:
-    """The line of each row of a numeric file's body lines: empty lines are not rows."""
-    return [line for line, s in enumerate(body, start=2) if s]
-
-
 def _write_table(path: Path, header, rows) -> None:
+    """Write header and rows as lines of comma-joined cells, each ended by LF."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows([header, *rows])
+    lines = (",".join(map(str, row)) + "\n" for row in [header, *rows])
+    path.write_text("".join(lines), encoding="utf-8", newline="\n")
 
 
 def _parse_poses(table: _Table) -> list[Pose]:
-    """Each row's qw..tz as a Pose; every one of those cells must be a number."""
+    """Each row's qw..tz as a Pose."""
     poses = []
-    for line, a in zip(table.lines, _block(table, _POSE_COLUMNS).tolist()):
+    for line, a in zip(table.lines, table.block(_POSE_COLUMNS).tolist()):
         try:
             poses.append(Pose.from_array7(a))
         except ValueError as e:
@@ -316,20 +289,21 @@ def _parse_poses(table: _Table) -> list[Pose]:
     return poses
 
 
-def _check_unit_rows(rows: np.ndarray, what: str, path: Path, lines: list[int]) -> None:
+def _check_unit_rows(rows: np.ndarray, what: str, table: _Table) -> None:
     """The first row of a descriptor block whose norm is off 1 by more than
     UNIT_TOL raises InvariantError at its line."""
     with np.errstate(over="ignore"):  # an overflowing norm fails the check
         norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     off = np.flatnonzero(np.abs(norms - 1.0) > UNIT_TOL)
     if len(off):
-        raise InvariantError(f"{what} has norm {norms[off[0]]:.4f}", path, lines[off[0]])
+        raise InvariantError(f"{what} has norm {norms[off[0]]:.4f}", table.path, table.lines[off[0]])
 
 
 def read_match_file(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The idxA, idxB and score columns of a match file."""
-    ints, floats, _ = _read_numeric(path, ("idxA", "idxB", "score"))
-    return ints[:, 0], ints[:, 1], floats[:, 0]
+    table = _read(path, ("idxA", "idxB", "score"))
+    idx = table.block(("idxA", "idxB"))
+    return idx[:, 0], idx[:, 1], table.block(("score",))[:, 0]
 
 
 def write_match_file(path: Path, rows: list[tuple[int, int, float]]) -> None:
@@ -349,11 +323,11 @@ def match_file_path(root: Path, frame_a: str, frame_b: str) -> Path:
 
 
 def _load_intrinsics(side: Path) -> dict[str, CameraIntrinsics]:
-    table = _read_table(side / "intrinsics.csv", ("camera_id",))
-    focal = _block(table, ("fx", "fy", "cx", "cy")).tolist()
-    size = _block(table, ("width", "height"), np.int64).tolist()
+    table = _read(side / "intrinsics.csv", ("camera_id",), n_text=1)
+    focal = table.block(("fx", "fy", "cx", "cy")).tolist()
+    size = table.block(("width", "height")).tolist()
     out = {}
-    for (camera_id, *_), line, f, (w, h) in zip(table.rows, table.lines, focal, size):
+    for (camera_id,), line, f, (w, h) in zip(table.text, table.lines, focal, size):
         try:
             out[camera_id] = CameraIntrinsics(*f, width=w, height=h)
         except ValueError as e:
@@ -371,27 +345,29 @@ def _load_per_keypoint(side: Path, frame: Frame, kind: str) -> None:
     path = side / kind / f"{_file_stem(frame.frame_id)}.csv"
     if kind != "keypoints" and not path.is_file():
         return
-    ints, floats, body = _read_numeric(path, _PER_KEYPOINT[kind])
-    n = len(ints)
+    table = _read(path, _PER_KEYPOINT[kind])
+    n = len(table.cells)
     if kind != "keypoints" and n != len(frame.keypoints):
         raise InvariantError(
             f"{n} rows of {kind} for {len(frame.keypoints)} keypoints in {frame.frame_id}",
             path=path,
         )
-    idx = ints[:, 0]
+    idx = table.block(("idx",))[:, 0]
     if not np.array_equal(np.sort(idx), np.arange(n)):
         seen = set()
-        for i, line in zip(idx.tolist(), _row_lines(body)):
+        for i, line in zip(idx.tolist(), table.lines):
             if not 0 <= i < n or i in seen:
                 fault = "repeated" if i in seen else f"outside [0, {n})"
                 raise MalformedRecordError(f"idx {i} {fault}", path=path, record=line)
             seen.add(i)
 
-    values = ints[:, 1] if kind == "point_ids" else floats
-    if kind == "descriptors":
-        _check_unit_rows(values, f"descriptor of {frame.frame_id}", path, _row_lines(body))
-    if kind == "keypoints":
-        values = floats[:, :2]  # (u, v), whatever columns follow
+    if kind == "point_ids":
+        values = table.block(("point_id",))[:, 0]
+    elif kind == "descriptors":
+        values = table.block(table.columns[1:])
+        _check_unit_rows(values, f"descriptor of {frame.frame_id}", table)
+    else:
+        values = table.block(("u", "v"))  # whatever columns follow
         u, v = values.T
         inside = (u >= 0) & (u < frame.intrinsics.width) & (v >= 0) & (v < frame.intrinsics.height)
         if not inside.all():
@@ -399,7 +375,7 @@ def _load_per_keypoint(side: Path, frame: Frame, kind: str) -> None:
             raise InvariantError(
                 f"keypoint ({u[r]}, {v[r]}) outside image bounds of {frame.frame_id}",
                 path=path,
-                record=_row_lines(body)[r],
+                record=table.lines[r],
             )
     ordered = np.empty_like(values)
     ordered[idx] = values
@@ -413,16 +389,16 @@ def _load_side(side: Path, *, query_side: bool) -> list[Frame]:
     frames: list[Frame] = []
 
     if poses_path.is_file():
-        table = _read_table(poses_path, ("frame_id", "camera_id"))
+        table = _read(poses_path, ("frame_id", "camera_id"), n_text=2)
         poses = _parse_poses(table)
-        for (frame_id, cam, *_), line, pose in zip(table.rows, table.lines, poses):
+        for (frame_id, cam), line, pose in zip(table.text, table.lines, poses):
             if cam not in intrinsics:
                 raise InvariantError(
                     f"camera_id {cam!r} not in intrinsics.csv", path=poses_path, record=line
                 )
             frames.append(Frame(frame_id, cam, intrinsics[cam], pose))
     elif not query_side and geo_path.is_file():
-        table = _read_table(geo_path, ("frame_id",))
+        table = _read(geo_path, ("frame_id",), n_text=1)
         frames = _frames_from_geo(table, intrinsics)
     else:
         raise MissingFileError("required file missing", path=poses_path)
@@ -435,15 +411,20 @@ def _load_side(side: Path, *, query_side: bool) -> list[Frame]:
             fault = "repeats" if other == f.frame_id else f"shares its file names with {other!r}"
             raise InvariantError(f"frame_id {f.frame_id!r} {fault}", path=table.path, record=line)
         by_id[f.frame_id] = f
-        for kind in _PER_KEYPOINT:
-            _load_per_keypoint(side, f, kind)
+        try:
+            for kind in _PER_KEYPOINT:
+                _load_per_keypoint(side, f, kind)
+        except OSError as e:
+            raise MalformedRecordError(
+                f"the files of this frame_id cannot be opened: {e.strerror}", table.path, line
+            ) from None
 
     gd_path = side / "global_descriptors.csv"
     if gd_path.is_file():
-        table = _read_table(gd_path, ("frame_id",))
-        vectors = _block(table, table.header[1:])
-        _check_unit_rows(vectors, "global descriptor", gd_path, table.lines)
-        for (frame_id, *_), line, g in zip(table.rows, table.lines, vectors):
+        table = _read(gd_path, ("frame_id",), n_text=1)
+        vectors = table.block(table.columns)
+        _check_unit_rows(vectors, "global descriptor", table)
+        for (frame_id,), line, g in zip(table.text, table.lines, vectors):
             if frame_id not in by_id:
                 raise InvariantError(
                     f"global descriptor of unknown frame {frame_id!r}", path=gd_path, record=line
@@ -452,8 +433,7 @@ def _load_side(side: Path, *, query_side: bool) -> list[Frame]:
                 raise InvariantError(
                     f"second global descriptor of {frame_id!r}", path=gd_path, record=line
                 )
-            # Divided by its norm as np.linalg.norm computes it: the histogram
-            # descriptors of synthetic scenes tie, and an ulp decides their order.
+            # Within UNIT_TOL of unit norm; scaled to it, so that dot products are cosines.
             by_id[frame_id].global_descriptor = g / np.linalg.norm(g)
     return frames
 
@@ -461,7 +441,7 @@ def _load_side(side: Path, *, query_side: bool) -> list[Frame]:
 def _frames_from_geo(table: _Table, intrinsics: dict[str, CameraIntrinsics]) -> list[Frame]:
     """Build reference poses from geo.csv's records about the first record's origin."""
     path = table.path
-    if not table.rows:
+    if not table.text:
         raise InvariantError("geo.csv has no records", path=path)
     if len(intrinsics) != 1:
         raise InvariantError(
@@ -469,10 +449,10 @@ def _frames_from_geo(table: _Table, intrinsics: dict[str, CameraIntrinsics]) -> 
             path=path,
         )
     camera_id, intr = next(iter(intrinsics.items()))
-    records = _block(table, ("lat", "lon", "alt", "heading_deg")).tolist()
+    records = table.block(("lat", "lon", "alt", "heading_deg")).tolist()
     origin = records[0][:3]
     frames = []
-    for (frame_id, *_), line, (lat, lon, alt, heading_deg) in zip(table.rows, table.lines, records):
+    for (frame_id,), line, (lat, lon, alt, heading_deg) in zip(table.text, table.lines, records):
         try:
             enu = geodetic_to_local(lat, lon, alt, origin)
         except ValueError as e:
@@ -495,11 +475,14 @@ def _load_rig_definitions(root: Path) -> list[tuple[str, list[tuple[str, Pose]]]
     path = root / "rig_extrinsics.csv"
     if not path.is_file():
         return []
-    table = _read_table(path, ("rig_id", "camera_id"))
-    rigs: dict[str, list[tuple[str, Pose]]] = {}
-    for (rig_id, cam, *_), pose in zip(table.rows, _parse_poses(table)):
-        rigs.setdefault(rig_id, []).append((cam, pose))
-    return list(rigs.items())
+    table = _read(path, ("rig_id", "camera_id"), n_text=2)
+    rigs: dict[str, dict[str, Pose]] = {}
+    for (rig_id, cam), line, pose in zip(table.text, table.lines, _parse_poses(table)):
+        cams = rigs.setdefault(rig_id, {})
+        if cam in cams:
+            raise InvariantError(f"camera {cam!r} of rig {rig_id!r} repeats", path, line)
+        cams[cam] = pose
+    return [(rig_id, list(cams.items())) for rig_id, cams in rigs.items()]
 
 
 def _natural_key(instance_id: str) -> list:
@@ -567,16 +550,13 @@ def _load_covariance(side: Path) -> np.ndarray:
     if not path.is_file():
         return default_odometry_covariance()
     vals = []
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for line, text in enumerate(fh, start=1):
-            cells = text.rstrip("\n").split(",") if text.strip() else []
-            row = _numbers(cells, np.float64)
-            if row is None:
-                bad = next(c for c in cells if _numbers([c], np.float64) is None)
-                raise MalformedRecordError(f"bad covariance value {bad!r}", path, line)
-            if not np.isfinite(row).all():
-                raise MalformedRecordError("covariance value is not finite", path, line)
-            vals += row.tolist()
+    for line, s in enumerate(_decode(path), start=1):
+        for cell in s.split(",") if s else []:
+            value = _number(cell, np.float64)
+            if value is None:
+                fault = f"bad covariance value {cell!r}: not a number or not finite"
+                raise MalformedRecordError(fault, path, line)
+            vals.append(value)
     if len(vals) != 36:
         raise MalformedRecordError(
             f"expected 36 covariance values, got {len(vals)}", path=path
@@ -628,14 +608,14 @@ def save_dataset(
         _write_table(
             side / "poses.csv",
             pose_header,
-            ([f.frame_id, f.camera_id, *map(_fmt, f.pose.as_array7())] for f in frames),
+            ([_text(f.frame_id), _text(f.camera_id), *map(_fmt, f.pose.as_array7())] for f in frames),
         )
         cams = {f.camera_id: f.intrinsics for f in frames}
         _write_table(
             side / "intrinsics.csv",
             ("camera_id", "fx", "fy", "cx", "cy", "width", "height"),
             (
-                [cid, *map(_fmt, (k.fx, k.fy, k.cx, k.cy)), k.width, k.height]
+                [_text(cid), *map(_fmt, (k.fx, k.fy, k.cx, k.cy)), k.width, k.height]
                 for cid, k in sorted(cams.items())
             ),
         )
@@ -663,17 +643,17 @@ def save_dataset(
             _write_table(
                 side / "global_descriptors.csv",
                 ("frame_id", *(f"g{j}" for j in range(len(gds[0][1])))),
-                ([fid, *map(_fmt, g)] for fid, g in gds),
+                ([_text(fid), *map(_fmt, g)] for fid, g in gds),
             )
 
-    with open(root / "queries" / "odometry_covariance.csv", "w", encoding="utf-8") as fh:
+    with open(root / "queries" / "odometry_covariance.csv", "w", encoding="utf-8", newline="\n") as fh:
         np.savetxt(fh, sequence.covariance, delimiter=",", fmt="%.17g")
     if rig_defs:
         _write_table(
             root / "rig_extrinsics.csv",
             ("rig_id", "camera_id", *_POSE_COLUMNS),
             (
-                [rig_id, cid, *map(_fmt, extr.as_array7())]
+                [_text(rig_id), _text(cid), *map(_fmt, extr.as_array7())]
                 for rig_id, cams in rig_defs
                 for cid, extr in cams
             ),

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqloc
@@ -237,6 +237,15 @@ class TestRigs:
             load_dataset(tmp_path)
 
 
+    def test_repeated_rig_camera_row(self, rng, tmp_path):
+        save_dataset(tmp_path, *make_rig_dataset(rng))
+        path = tmp_path / "rig_extrinsics.csv"
+        lines = path.read_text().splitlines()  # header, stereo/cam0, stereo/cam1
+        path.write_text("\n".join(lines + ["stereo,cam1,1,0,0,0,0,0,5.0"]) + "\n")
+        with pytest.raises(InvariantError, match=r"'cam1' of rig 'stereo' repeats.*rig_extrinsics\.csv:4\]"):
+            load_dataset(tmp_path)
+
+
 class TestLoadErrors:
     def test_empty_reference_dir(self, rng, tmp_path):
         seq, refs = make_dataset(rng)
@@ -389,14 +398,14 @@ class TestLoadErrors:
             load_dataset(tmp_path)
         assert info.value.record == 3
 
-    @pytest.mark.parametrize("junk", [b"\xff\xfe", b"x" * 200_000])
+    @pytest.mark.parametrize("junk", [b"\xff\xfe", b"x" * 200_000, b"x" * 300])
     def test_unreadable_table(self, rng, tmp_path, junk):
-        # Bytes that are not UTF-8, and a field over the csv module's size limit.
+        # Bytes that are not UTF-8, and frame ids too long for a file name.
         seq, refs = make_dataset(rng)
         save_dataset(tmp_path, seq, refs)
         path = tmp_path / "references" / "poses.csv"
         path.write_bytes(path.read_bytes().replace(b"r0001", junk))
-        with pytest.raises(MalformedRecordError, match=r"references/poses\.csv\]"):
+        with pytest.raises(MalformedRecordError, match=r"references/poses\.csv:3\]"):
             load_dataset(tmp_path)
 
     @pytest.mark.parametrize(
@@ -531,6 +540,81 @@ NUMERIC_GRAMMAR = {
     "missing field": (H + "0,3\n", Fault(2)),
     "bad header before a bad line": ("idxA,idxB\n0,3,1_5\n", Fault(1)),
 }
+
+
+G = "frame_id,g0,g1\n"
+# The grammar of the tables that hold text, on references/global_descriptors.csv
+# of a dataset whose references are r0, r1 and r\u00f8: its bytes, and the
+# descriptors it loads as, or the Fault its DatasetError names.
+TEXT_GRAMMAR = {
+    "plain": (G + "r0,1,0\nr1,0,1\n", {"r0": [1, 0], "r1": [0, 1]}),
+    "crlf and empty lines": (G.replace("\n", "\r\n") + "\r\nr0,1,0\r\n\n", {"r0": [1, 0]}),
+    "padded id and cells": (G + " r1\t, 0 ,-1.0\n", {"r1": [0, -1]}),
+    "non-ascii id": (G + "r\u00f8,0,1\n", {"r\u00f8": [0, 1]}),
+    "header only": (G, {}),
+    "comma-only line": (G + "r0,1,0\n,,\nr1,0,1\n", Fault(3)),
+    "whitespace-only line": (G + "r0,1,0\n  \nr1,0,1\n", Fault(3)),
+    "quoted id": (G + '"r0",1,0\n', Fault(2)),
+    "id containing a comma": (G + 'r0,1,0\n"r0,r1",1,0\n', Fault(3)),
+    "empty id": (G + " ,1,0\n", Fault(2)),
+    "byte that is not utf-8": (G.encode() + b"r0,1,0\nr\xff,0,1\n", Fault(3)),
+    "quoted number": (G + 'r0,"1",0\n', Fault(2)),
+    "number only python reads": (G + "r0,1_0,0\n", Fault(2)),
+    "non-ascii digit": (G + "r0,\u0661,0\n", Fault(2)),
+    "missing field": (G + "r0,1\n", Fault(2)),
+    "bom": ("\ufeff" + G + "r0,1,0\n", Fault(1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_GRAMMAR))
+def test_text_table_grammar(rng, tmp_path, case):
+    text, outcome = TEXT_GRAMMAR[case]
+    seq, _ = make_dataset(rng)
+    save_dataset(tmp_path, seq, [make_frame(rng, fid) for fid in ("r0", "r1", "r\u00f8")])
+    path = tmp_path / "references" / "global_descriptors.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    if isinstance(outcome, Fault):
+        with pytest.raises(DatasetError, match=re.escape(f"global_descriptors.csv:{outcome.line}]")):
+            load_dataset(tmp_path)
+        return
+    _, refs = load_dataset(tmp_path)
+    got = {f.frame_id: f.global_descriptor.tolist() for f in refs if f.global_descriptor is not None}
+    assert got == outcome
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    frame_id=st.text(
+        st.one_of(st.sampled_from(", \t\r\n\""), st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),
+        max_size=10,
+    )
+)
+@example(frame_id="r\u00f8\u00e9")
+@example(frame_id='"r0"')
+@example(frame_id="r 0")
+@example(frame_id="r0,1")
+@example(frame_id="r0\r")
+@example(frame_id="\u3000r0")
+@example(frame_id="")
+def test_text_cells_round_trip_or_raise(frame_id):
+    # An id as a reference's frame and camera id, and in its global descriptor's row.
+    rng = np.random.default_rng(0)
+    seq, refs = make_dataset(rng, n_refs=1)
+    ref = refs[0]
+    ref.frame_id = ref.camera_id = frame_id
+    ref.global_descriptor = exact_unit_vector(rng)
+    holds = bool(frame_id) and frame_id == frame_id.strip() and not set(",\r\n") & set(frame_id)
+    with tempfile.TemporaryDirectory() as d:
+        if not holds:
+            with pytest.raises(ValueError):
+                save_dataset(d, seq, refs)
+            return
+        save_dataset(d, seq, refs)
+        (got,) = load_dataset(d)[1]
+    assert (got.frame_id, got.camera_id) == (frame_id, frame_id)
+    assert got.pose.as_array7().tobytes() == ref.pose.as_array7().tobytes()
+    assert got.keypoints.tobytes() == ref.keypoints.tobytes()
+    assert got.global_descriptor.tobytes() == ref.global_descriptor.tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(NUMERIC_GRAMMAR))

@@ -20,44 +20,41 @@ class CandidateSet:
         return [fid for fid, _ in self.candidates]
 
 
+# Scores are rounded to multiples of this before ranking, so that cosines equal in
+# exact arithmetic, whose floats differ by a few ulps, tie and rank by frame_id.
+SCORE_STEP = 2.0**-40
+
+
 def top_k(
     query_id: str,
     query: np.ndarray,
     references: list[tuple[str, np.ndarray]],
     k: int,
 ) -> CandidateSet:
-    """k highest cosine-similarity references; ties broken by ascending frame_id."""
+    """k highest cosine-similarity references, scores rounded to SCORE_STEP;
+    ties broken by ascending frame_id."""
     if k < 1:
         raise ValueError("k must be >= 1")
     query = np.asarray(query, dtype=float).reshape(-1)
-    scored = []
-    for fid, vec in references:
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        if vec.shape != query.shape:
-            raise ValueError(
-                f"descriptor dimension mismatch: query {query.shape[0]},"
-                f" reference {fid} {vec.shape[0]}"
-            )
-        scored.append((fid, float(np.clip(np.dot(query, vec), -1.0, 1.0))))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return CandidateSet(query_id=query_id, candidates=scored[:k])
+    ids = [fid for fid, _ in references]
+    try:
+        matrix = np.array([np.ravel(v) for _, v in references], dtype=float).reshape(len(ids), query.size)
+    except ValueError:
+        fid, vec = next((fid, v) for fid, v in references if np.size(v) != query.size)
+        raise ValueError(
+            f"descriptor dimension mismatch: query {query.size}, reference {fid} {np.size(vec)}"
+        ) from None
+    scores = np.rint(np.clip(matrix @ query, -1.0, 1.0) / SCORE_STEP) * SCORE_STEP
+    order = np.lexsort((ids, -scores))[:k]
+    return CandidateSet(query_id=query_id, candidates=[(ids[i], float(scores[i])) for i in order])
 
 
 def standin_global_descriptor(frame: Frame, grid: int = 4) -> np.ndarray:
     """Model-free stand-in: L2-normalized grid histogram of keypoint density."""
     counts = np.zeros((grid, grid))
-    if len(frame.keypoints):
-        cols = np.clip(
-            (frame.keypoints[:, 0] / frame.intrinsics.width * grid).astype(int),
-            0,
-            grid - 1,
-        )
-        rows = np.clip(
-            (frame.keypoints[:, 1] / frame.intrinsics.height * grid).astype(int),
-            0,
-            grid - 1,
-        )
-        np.add.at(counts, (rows, cols), 1.0)
+    size = (frame.intrinsics.width, frame.intrinsics.height)
+    cols, rows = np.clip((frame.keypoints / size * grid).astype(int), 0, grid - 1).T
+    np.add.at(counts, (rows, cols), 1.0)
     flat = counts.reshape(-1)
     n = np.linalg.norm(flat)
     if n < 1e-12:

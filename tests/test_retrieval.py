@@ -57,6 +57,16 @@ class TestTopK:
         for k in range(1, 10):
             assert top_k("q", q, refs, k=k).ids() == big[:k]
 
+    def test_exact_ties_rank_by_frame_id(self):
+        # Normalized integer histograms whose cosines with the query are both
+        # 3/sqrt(14), but whose float dot products differ in the last bit.
+        q, a, b = unit([1, 1, 1, 1]), unit([0, 1, 2, 3]), unit([3, 2, 1, 0])
+        assert np.dot(q, a) > np.dot(q, b)
+        for refs in ([("r1", a), ("r0", b)], [("r0", b), ("r1", a)]):
+            out = top_k("q", q, refs, k=2)
+            assert out.ids() == ["r0", "r1"]
+            assert out.candidates[0][1] == out.candidates[1][1]
+
     def test_dimension_mismatch(self, rng):
         refs = [("r0", unit(rng.normal(size=8)))]
         with pytest.raises(ValueError, match="dimension"):

@@ -22,6 +22,9 @@ class MatchingError(ValueError):
     pass
 
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 class MatcherKind(str, enum.Enum):
     DESCRIPTOR_MNN = "descriptor_mnn"
     PRECOMPUTED_FILE = "precomputed_file"
@@ -80,13 +83,17 @@ def match(
 def mutual_nn_match(a: Frame, b: Frame, ratio: float = 0.9, min_score: float = 0.7) -> MatchSet:
     """Mutual nearest neighbors with a Lowe ratio test applied both ways.
 
-    The similarities are the descriptors' dot products. Filters, in order:
-    each row of a keeps its best column (the first on a tie); rows whose best
-    score is below min_score leave; a row stays only if it is also its
-    column's best (the first row on a tie); then the Lowe test below. The
-    min_score filter and the mutual test commute, so only the surviving rows'
-    columns are searched. When both frames have keypoints, raises
-    MatchingError if either lacks descriptors or their widths differ.
+    The similarities are the descriptors' dot products, computed as one
+    float32 product; the argmaxes and partitions run on it, and the values
+    they pick are upcast to float64 (exactly), on which min_score, the
+    distances and the ratio test run. Filters, in order: each row of a keeps
+    its best column (the first on a tie); rows whose best score is below
+    min_score leave; a row stays only if it is also its column's best (the
+    first row on a tie); then the Lowe test below. The min_score filter and
+    the mutual test commute, so only the surviving rows' columns are
+    searched. When both frames have keypoints, raises MatchingError if either
+    lacks descriptors, their widths differ, or a descriptor value is not
+    finite or lies beyond float32 range.
     """
     empty = MatchSet(frame_a=a.frame_id, frame_b=b.frame_id)
     if len(a.keypoints) == 0 or len(b.keypoints) == 0:
@@ -100,9 +107,13 @@ def mutual_nn_match(a: Frame, b: Frame, ratio: float = 0.9, min_score: float = 0
             f"descriptor widths differ: {a.descriptors.shape[1]} on {a.frame_id}, "
             f"{b.descriptors.shape[1]} on {b.frame_id}"
         )
-    sims = a.descriptors @ b.descriptors.T
+    for f in (a, b):
+        # NaN fails the comparison too; checked before the cast, which would warn
+        if not np.abs(f.descriptors).max(initial=0.0) <= _FLOAT32_MAX:
+            raise MatchingError(f"descriptors of {f.frame_id} are not finite float32 values")
+    sims = a.descriptors.astype(np.float32) @ b.descriptors.astype(np.float32).T
     best_b = np.argmax(sims, axis=1)
-    s = np.take_along_axis(sims, best_b[:, None], axis=1)[:, 0]
+    s = np.take_along_axis(sims, best_b[:, None], axis=1)[:, 0].astype(np.float64)
     ia = np.flatnonzero(s >= min_score)
     cols = sims[:, best_b[ia]]  # the candidates' columns, (n_a, m)
     mutual = np.argmax(cols, axis=0) == ia
@@ -113,9 +124,9 @@ def mutual_nn_match(a: Frame, b: Frame, ratio: float = 0.9, min_score: float = 0
     d1 = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * s))
     seconds = []
     if sims.shape[1] > 1:
-        seconds.append(np.partition(sims[ia], -2, axis=1)[:, -2])
+        seconds.append(np.partition(sims[ia], -2, axis=1)[:, -2].astype(np.float64))
     if sims.shape[0] > 1:
-        seconds.append(np.partition(cols, -2, axis=0)[-2])
+        seconds.append(np.partition(cols, -2, axis=0)[-2].astype(np.float64))
     keep = np.ones(len(s), dtype=bool)
     for second in seconds:
         d2 = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * second))

@@ -38,8 +38,9 @@ def random_unit_descs(rng, n, dim=16):
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
-def loop_mutual_nn(da, db, ratio=0.9, min_score=0.7):
-    """Oracle: mutual nearest neighbors and the two-way ratio test, one row at a time."""
+def loop_mutual_nn(da, db, ratio=0.9, min_score=0.7, dtype=np.float32):
+    """Oracle: mutual nearest neighbors and the two-way ratio test, one row at a time,
+    on the dtype product of the descriptors upcast to float64."""
 
     def ratio_ok(sim_row, best_idx):
         if len(sim_row) < 2:
@@ -51,7 +52,7 @@ def loop_mutual_nn(da, db, ratio=0.9, min_score=0.7):
             return False
         return d1 / d2 <= ratio
 
-    sims = da @ db.T
+    sims = (da.astype(dtype) @ db.astype(dtype).T).astype(float)
     best_b = np.argmax(sims, axis=1)
     best_a = np.argmax(sims, axis=0)
     ia, ib, sc = [], [], []
@@ -106,9 +107,41 @@ class TestMutualNN:
     def test_min_score_inclusive(self, rng):
         da, db = np.zeros((2, 16)), np.zeros((2, 16))
         da[0, 0] = da[1, 2] = db[1, 3] = 1.0
-        db[0, :2] = 0.7, math.sqrt(0.51)  # similarity exactly 0.7 with da[0]
-        ms = mutual_nn_match(frame_with(rng, "a", 2, desc=da), frame_with(rng, "b", 2, desc=db))
-        assert list(zip(ms.idx_a, ms.idx_b, ms.scores)) == [(0, 0, 0.7)]
+        # similarity exactly 0.75 with da[0], in float32 as in float64
+        db[0, :2] = 0.75, math.sqrt(0.4375)
+        a, b = frame_with(rng, "a", 2, desc=da), frame_with(rng, "b", 2, desc=db)
+        ms = mutual_nn_match(a, b, min_score=0.75)
+        assert list(zip(ms.idx_a, ms.idx_b, ms.scores)) == [(0, 0, 0.75)]
+
+    def test_float32_product_keeps_float64_matches(self, rng):
+        """A pair like perfbench's cluttered frames: 15 shared descriptors, each
+        observed with noise of norm 0.3, among 1500 unit clutter rows per frame."""
+        n, dim = 1515, 64
+        base = random_unit_descs(rng, 15, dim)
+        da, db = random_unit_descs(rng, n, dim), random_unit_descs(rng, n, dim)
+        rows_a, rows_b = rng.permutation(n)[:15], rng.permutation(n)[:15]
+        for d, rows in ((da, rows_a), (db, rows_b)):
+            noisy = base + rng.normal(scale=0.3 / math.sqrt(dim), size=base.shape)
+            d[rows] = noisy / np.linalg.norm(noisy, axis=1, keepdims=True)
+        ms = mutual_nn_match(frame_with(rng, "a", n, desc=da), frame_with(rng, "b", n, desc=db))
+        ia, ib, sc = loop_mutual_nn(da, db)
+        for got, want in ((ms.idx_a, ia), (ms.idx_b, ib), (ms.scores, sc)):
+            np.testing.assert_array_equal(got, want)
+        ia64, ib64, sc64 = loop_mutual_nn(da, db, dtype=np.float64)
+        assert sorted(zip(ia64, ib64)) == sorted(zip(rows_a.tolist(), rows_b.tolist()))
+        np.testing.assert_array_equal(ms.idx_a, ia64)
+        np.testing.assert_array_equal(ms.idx_b, ib64)
+        np.testing.assert_allclose(ms.scores, sc64, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, math.nan, math.inf])
+    def test_descriptor_beyond_float32_raises(self, rng, value):
+        da, db = random_unit_descs(rng, 5), random_unit_descs(rng, 6)
+        db[3, 7] = value
+        a, b = frame_with(rng, "a", 5, desc=da), frame_with(rng, "b", 6, desc=db)
+        with pytest.raises(MatchingError, match="descriptors of b"):
+            mutual_nn_match(a, b)
+        with pytest.raises(MatchingError, match="descriptors of b"):
+            mutual_nn_match(b, a)
 
     def test_duplicate_second_best_rejected(self, rng):
         da, db = random_unit_descs(rng, 10), random_unit_descs(rng, 10)

@@ -328,6 +328,8 @@ def _load_intrinsics(side: Path) -> dict[str, CameraIntrinsics]:
     size = table.block(("width", "height")).tolist()
     out = {}
     for (camera_id,), line, f, (w, h) in zip(table.text, table.lines, focal, size):
+        if camera_id in out:
+            raise InvariantError(f"camera_id {camera_id!r} repeats", path=table.path, record=line)
         try:
             out[camera_id] = CameraIntrinsics(*f, width=w, height=h)
         except ValueError as e:
@@ -382,7 +384,8 @@ def _load_per_keypoint(side: Path, frame: Frame, kind: str) -> None:
     setattr(frame, kind, ordered)
 
 
-def _load_side(side: Path, *, query_side: bool) -> list[Frame]:
+def _load_side(side: Path, *, query_side: bool) -> tuple[list[Frame], list[int]]:
+    """The frames of one side, and the line of each in its poses or geo table."""
     intrinsics = _load_intrinsics(side)
     poses_path = side / "poses.csv"
     geo_path = side / "geo.csv"
@@ -403,9 +406,10 @@ def _load_side(side: Path, *, query_side: bool) -> list[Frame]:
     else:
         raise MissingFileError("required file missing", path=poses_path)
 
+    lines = table.lines
     by_id: dict[str, Frame] = {}
     by_stem: dict[str, str] = {}  # file stem -> frame_id
-    for f, line in zip(frames, table.lines):
+    for f, line in zip(frames, lines):
         other = by_stem.setdefault(_file_stem(f.frame_id), f.frame_id)
         if f.frame_id in by_id or other != f.frame_id:
             fault = "repeats" if other == f.frame_id else f"shares its file names with {other!r}"
@@ -435,7 +439,7 @@ def _load_side(side: Path, *, query_side: bool) -> list[Frame]:
                 )
             # Within UNIT_TOL of unit norm; scaled to it, so that dot products are cosines.
             by_id[frame_id].global_descriptor = g / np.linalg.norm(g)
-    return frames
+    return frames, lines
 
 
 def _frames_from_geo(table: _Table, intrinsics: dict[str, CameraIntrinsics]) -> list[Frame]:
@@ -492,7 +496,13 @@ def _natural_key(instance_id: str) -> list:
     return parts
 
 
-def _group_into_rigs(frames: list[Frame], rig_defs, poses_path) -> list[Rig]:
+def _group_into_rigs(frames: list[Frame], lines: list[int], rig_defs, poses_path) -> list[Rig]:
+    """Group the query frames, whose rows are at lines of poses_path, into rigs."""
+
+    def fault(message: str, f: Frame) -> InvariantError:
+        line = next(line for g, line in zip(frames, lines) if g is f)
+        return InvariantError(message, path=poses_path, record=line)
+
     by_instance: dict[str, list[Frame]] = {}
     order: list[str] = []
     for f in frames:
@@ -500,8 +510,10 @@ def _group_into_rigs(frames: list[Frame], rig_defs, poses_path) -> list[Rig]:
             order.append(f.instance_id)
         by_instance.setdefault(f.instance_id, []).append(f)
     if order != sorted(order, key=_natural_key):
-        raise InvariantError(
-            "query frame instances are not in increasing order", path=poses_path
+        keys = [_natural_key(inst) for inst in order]
+        first = next(i for i in range(1, len(order)) if keys[i] < keys[i - 1])
+        raise fault(
+            "query frame instances are not in increasing order", by_instance[order[first]][0]
         )
 
     rigs = []
@@ -509,17 +521,16 @@ def _group_into_rigs(frames: list[Frame], rig_defs, poses_path) -> list[Rig]:
         members = by_instance[inst]
         cam_ids = {f.camera_id for f in members}
         if len(cam_ids) != len(members):
-            raise InvariantError(
-                f"rig instance {inst!r} repeats a camera", path=poses_path
-            )
+            cams_before = ([g.camera_id for g in members[:i]] for i in range(len(members)))
+            repeat = next(f for f, before in zip(members, cams_before) if f.camera_id in before)
+            raise fault(f"rig instance {inst!r} repeats a camera", repeat)
         if len(members) == 1 and "/" not in members[0].frame_id:
             cams = [(members[0].camera_id, Pose.identity())]
         else:
             matches = [d for d in rig_defs if {c for c, _ in d[1]} == cam_ids]
             if not matches:
-                raise InvariantError(
-                    f"no rig definition covers cameras {sorted(cam_ids)} of {inst!r}",
-                    path=poses_path,
+                raise fault(
+                    f"no rig definition covers cameras {sorted(cam_ids)} of {inst!r}", members[0]
                 )
             cams = matches[0][1]
         extr = dict(cams)
@@ -529,10 +540,10 @@ def _group_into_rigs(frames: list[Frame], rig_defs, poses_path) -> list[Rig]:
             gap = rig_pose.compose(extr[f.camera_id]).inverse().compose(f.pose)
             dt, dr = math.hypot(*gap.translation), gap.rotation.angle
             if not (dt <= RIG_TOL_M and dr <= RIG_TOL_RAD):
-                raise InvariantError(
+                raise fault(
                     f"odometry pose of {f.frame_id!r} is {dt:.3g} m, {dr:.3g} rad off"
                     f" its rig pose composed with the extrinsic of {f.camera_id!r}",
-                    path=poses_path,
+                    f,
                 )
         rigs.append(
             Rig(
@@ -578,13 +589,13 @@ def load_dataset(root) -> tuple[list[QuerySequence], list[Frame]]:
     ref_dir = root / "references"
     if not (ref_dir / "poses.csv").is_file() and not (ref_dir / "geo.csv").is_file():
         raise InvariantError("no reference frames", path=ref_dir)
-    references = _load_side(ref_dir, query_side=False)
+    references, _ = _load_side(ref_dir, query_side=False)
     if not references:
         raise InvariantError("no reference frames", path=ref_dir)
 
-    query_frames = _load_side(root / "queries", query_side=True)
+    query_frames, query_lines = _load_side(root / "queries", query_side=True)
     rig_defs = _load_rig_definitions(root)
-    rigs = _group_into_rigs(query_frames, rig_defs, root / "queries" / "poses.csv")
+    rigs = _group_into_rigs(query_frames, query_lines, rig_defs, root / "queries" / "poses.csv")
     sequence = QuerySequence(rigs=rigs, covariance=_load_covariance(root / "queries"))
     return [sequence], references
 

@@ -233,7 +233,20 @@ class TestRigs:
         path = tmp_path / "queries" / "poses.csv"
         # Rows: header, then cam0 and cam1 of each instance; move q0001/cam1 by 1 cm in x.
         edit_cell(path, 4, 6, lambda rows: repr(float(rows[4][6]) + 0.01))
-        with pytest.raises(InvariantError, match=r"'q0001/cam1' is 0\.01 m.*poses\.csv\]"):
+        with pytest.raises(InvariantError, match=r"'q0001/cam1' is 0\.01 m.*poses\.csv:5\]"):
+            load_dataset(tmp_path)
+
+    def test_rig_instance_faults_name_their_row(self, rng, tmp_path):
+        save_dataset(tmp_path, *make_rig_dataset(rng))
+        path = tmp_path / "queries" / "poses.csv"
+        # Rows: header, then cam0 and cam1 of each instance; q0001/cam1 is row 4, line 5.
+        edit_cell(path, 4, 1, "cam0")
+        with pytest.raises(InvariantError, match=r"'q0001' repeats a camera.*poses\.csv:5\]"):
+            load_dataset(tmp_path)
+        for table in (path, tmp_path / "queries" / "global_descriptors.csv"):
+            lines = table.read_text().splitlines()  # q0001 keeps cam0 alone
+            table.write_text("\n".join(lines[:4] + lines[5:]) + "\n")
+        with pytest.raises(InvariantError, match=r"no rig definition .* 'q0001'.*poses\.csv:4\]"):
             load_dataset(tmp_path)
 
 
@@ -258,7 +271,7 @@ class TestLoadErrors:
 
     def test_instances_out_of_order(self, rng, tmp_path):
         save_dataset(tmp_path, single_camera_sequence(rng, ["q10", "q9"]), [make_frame(rng, "r0")])
-        with pytest.raises(InvariantError, match=r"not in increasing order.*poses\.csv"):
+        with pytest.raises(InvariantError, match=r"not in increasing order.*poses\.csv:3\]"):
             load_dataset(tmp_path)
 
     def test_missing_queries(self, rng, tmp_path):
@@ -359,6 +372,14 @@ class TestLoadErrors:
                 load_dataset(tmp_path)
             edit_cell(path, 1, col, original)
         load_dataset(tmp_path)
+
+    def test_repeated_intrinsics_camera_row(self, rng, tmp_path):
+        save_dataset(tmp_path, *make_dataset(rng))
+        path = tmp_path / "queries" / "intrinsics.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + ["cam0,400,400,320,240,640,480"]) + "\n")
+        with pytest.raises(InvariantError, match=rf"'cam0' repeats.*intrinsics\.csv:{len(lines) + 1}\]"):
+            load_dataset(tmp_path)
 
     def test_bad_covariance(self, rng, tmp_path):
         seq, refs = make_dataset(rng)

@@ -511,18 +511,16 @@ def _group_into_rigs(frames: list[Frame], lines: list[int], rig_defs, poses_path
         by_instance.setdefault(f.instance_id, []).append(f)
     if order != sorted(order, key=_natural_key):
         keys = [_natural_key(inst) for inst in order]
-        first = next(i for i in range(1, len(order)) if keys[i] < keys[i - 1])
-        raise fault(
-            "query frame instances are not in increasing order", by_instance[order[first]][0]
-        )
+        k = next(k for k in range(1, len(order)) if keys[k] < keys[k - 1])
+        raise fault("query frame instances are not in increasing order", by_instance[order[k]][0])
 
     rigs = []
     for inst in order:
         members = by_instance[inst]
         cam_ids = {f.camera_id for f in members}
         if len(cam_ids) != len(members):
-            cams_before = ([g.camera_id for g in members[:i]] for i in range(len(members)))
-            repeat = next(f for f, before in zip(members, cams_before) if f.camera_id in before)
+            ids = [f.camera_id for f in members]
+            repeat = next(f for i, f in enumerate(members) if f.camera_id in ids[:i])
             raise fault(f"rig instance {inst!r} repeats a camera", repeat)
         if len(members) == 1 and "/" not in members[0].frame_id:
             cams = [(members[0].camera_id, Pose.identity())]

@@ -243,8 +243,8 @@ class TestRigs:
         edit_cell(path, 4, 1, "cam0")
         with pytest.raises(InvariantError, match=r"'q0001' repeats a camera.*poses\.csv:5\]"):
             load_dataset(tmp_path)
-        for table in (path, tmp_path / "queries" / "global_descriptors.csv"):
-            lines = table.read_text().splitlines()  # q0001 keeps cam0 alone
+        for table in (path, tmp_path / "queries" / "global_descriptors.csv"):  # q0001 keeps cam0 alone
+            lines = table.read_text().splitlines()
             table.write_text("\n".join(lines[:4] + lines[5:]) + "\n")
         with pytest.raises(InvariantError, match=r"no rig definition .* 'q0001'.*poses\.csv:4\]"):
             load_dataset(tmp_path)

@@ -1,18 +1,19 @@
-"""Dataset model and text formats for posed query sequences and reference images.
+"""Dataset model and file formats for posed query sequences and reference images.
 
-Directory layout (all files CSV with a header row):
+Directory layout: the tables are CSV files with a header row, and the
+per-keypoint files are .npy arrays whose row i belongs to keypoint i.
 
     queries/poses.csv            frame_id,camera_id,qw,qx,qy,qz,tx,ty,tz
     queries/intrinsics.csv       camera_id,fx,fy,cx,cy,width,height
-    queries/keypoints/<id>.csv   idx,u,v                    (one per frame)
-    queries/descriptors/<id>.csv idx,d0,...,d{D-1}          (optional)
-    queries/global_descriptors.csv  frame_id,g0,...,g{G-1}  (optional)
-    queries/point_ids/<id>.csv   idx,point_id               (optional, synthetic data)
+    queries/keypoints/<id>.npy   <f8 (n, 2): u, v             (one per frame)
+    queries/descriptors/<id>.npy <f4 (n, D)                   (optional)
+    queries/point_ids/<id>.npy   <i8 (n,)                     (optional, synthetic data)
+    queries/global_descriptors.csv  frame_id,g0,...,g{G-1}   (optional)
     queries/odometry_covariance.csv  36 values, row-major 6x6 (optional)
     references/...               same structure, poses in the global frame
     references/geo.csv           frame_id,lat,lon,alt,heading_deg (optional pose source)
     rig_extrinsics.csv           rig_id,camera_id,qw,qx,qy,qz,tx,ty,tz (optional)
-    matches/<A>__<B>.csv         idxA,idxB,score            (optional, precomputed)
+    matches/<A>__<B>.csv         idxA,idxB,score              (optional, precomputed)
 
 Query poses are odometry T(q<-frame); reference poses are global T(r<-frame).
 Descriptor rows, per keypoint and global, must have unit norm within UNIT_TOL.
@@ -22,20 +23,28 @@ with digit runs compared as numbers ("q9" before "q10").
 Every camera's odometry pose in an instance must equal the rig pose composed
 with that camera's extrinsic, to within RIG_TOL_M and RIG_TOL_RAD.
 
-Every file is UTF-8 text in one grammar. Lines end at a newline, carriage
+A .npy file loads only as np.save writes a C-order little-endian array of its
+dtype and shape: format 1.0, that header, then exactly the data's bytes,
+which are read straight into the array. A fault names the file and the first
+bad row, counted from 0. A frame's per-keypoint .csv files of earlier
+layouts are not read. Match files stay CSV: no workload reads them.
+
+Every CSV file is UTF-8 text in one grammar. Lines end at a newline, carriage
 returns before it are dropped, empty lines are skipped, and a line splits at
 every comma, with no quoting and no comments. The id cells (frame_id, camera_id,
 rig_id) are text, stripped and not empty. Every other cell holds one ASCII
-number as np.loadtxt reads it: int64 in the idx, point_id, idxA, idxB, width and
-height columns, finite float64 elsewhere and in the headerless covariance.
+number as np.loadtxt reads it: int64 in the idxA, idxB, width and height
+columns, finite float64 elsewhere and in the headerless covariance.
 save_dataset writes LF line ends, and raises ValueError on an id the grammar
-cannot hold: empty, or with a comma, CR, LF or surrounding whitespace.
+cannot hold: empty, or with a comma, CR, LF or surrounding whitespace, and on a
+descriptor value that float32 cannot hold.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -130,17 +139,16 @@ _POSE_COLUMNS = ("qw", "qx", "qy", "qz", "tx", "ty", "tz")
 
 # Integer columns, wherever they stand in a header; every other numeric column
 # is a float.
-_INT_COLUMNS = frozenset({"idx", "point_id", "idxA", "idxB", "width", "height"})
+_INT_COLUMNS = frozenset({"idxA", "idxB", "width", "height"})
 
 # One cell or line of the numeric files per element of its first argument.
 _loadtxt = partial(np.loadtxt, delimiter=",", comments=None, quotechar=None, ndmin=1)
 
-# Per-keypoint files: directory name (also the Frame attribute) -> leading columns.
-_PER_KEYPOINT = {
-    "keypoints": ("idx", "u", "v"),
-    "descriptors": ("idx",),
-    "point_ids": ("idx", "point_id"),
-}
+# Per-keypoint arrays: directory name (also the Frame attribute) -> dtype, shape.
+_PER_KEYPOINT = {"keypoints": ("<f8", "(n, 2)"), "descriptors": ("<f4", "(n, D)"), "point_ids": ("<i8", "(n,)")}
+
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"  # format 1.0, which np.save writes for these headers
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 # Largest disagreement between a descriptor's norm and 1: matching and retrieval
 # take dot products of descriptors as cosines.
@@ -289,14 +297,35 @@ def _parse_poses(table: _Table) -> list[Pose]:
     return poses
 
 
-def _check_unit_rows(rows: np.ndarray, what: str, table: _Table) -> None:
-    """The first row of a descriptor block whose norm is off 1 by more than
-    UNIT_TOL raises InvariantError at its line."""
+def _check_unit_rows(rows: np.ndarray, what: str, path: Path, records) -> None:
+    """The first row whose norm, taken in float64, is not within UNIT_TOL of 1
+    raises InvariantError at its record."""
     with np.errstate(over="ignore"):  # an overflowing norm fails the check
-        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    off = np.flatnonzero(np.abs(norms - 1.0) > UNIT_TOL)
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))  # NaN is off too
     if len(off):
-        raise InvariantError(f"{what} has norm {norms[off[0]]:.4f}", table.path, table.lines[off[0]])
+        raise InvariantError(f"{what} has norm {norms[off[0]]:.4f}", path, records[off[0]])
+
+
+def _read_array(path: Path, kind: str) -> np.ndarray:
+    """The kind's array in the .npy file at path: only the header np.save writes
+    for the kind's dtype and shape, then exactly its data, read into the array."""
+    descr, shape = _PER_KEYPOINT[kind]
+    dims = re.sub("[nD]", "(?:0|[1-9][0-9]{0,18})", re.escape(shape))  # int64 sizes
+    header = rf"\{{'descr': '{descr}', 'fortran_order': False, 'shape': ({dims}), \}} *\n"
+    with open(path, "rb") as fh:
+        head = fh.read(10)
+        m = head[:8] == _NPY_MAGIC and re.fullmatch(header.encode(), fh.read(int.from_bytes(head[8:], "little")))
+        if not m:
+            raise MalformedRecordError(f"not the header np.save writes for {descr} {shape}", path)
+        dims = tuple(map(int, re.findall(rb"[0-9]+", m[1])))
+        size, left = math.prod(dims) * np.dtype(descr).itemsize, os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != size:  # checked before the array is made: a header can claim any size
+            raise MalformedRecordError(f"{left} bytes of data for {descr} {dims}, not {size}", path)
+        values = np.empty(dims, descr)
+        if fh.readinto(values.view(np.uint8)) != size:  # a view: numpy keeps the export's format on values
+            raise MalformedRecordError("file shrank while it was read", path)
+    return values
 
 
 def read_match_file(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -338,50 +367,29 @@ def _load_intrinsics(side: Path) -> dict[str, CameraIntrinsics]:
 
 
 def _load_per_keypoint(side: Path, frame: Frame, kind: str) -> None:
-    """Set frame.<kind> from its per-keypoint file; only the keypoints file is required.
-
-    Each row's idx must be a distinct integer in [0, n); the row goes to that
-    index. Files other than the keypoints need one row per keypoint, and
-    descriptor rows unit norm.
-    """
-    path = side / kind / f"{_file_stem(frame.frame_id)}.csv"
-    if kind != "keypoints" and not path.is_file():
+    """Set frame.<kind> from its .npy file; only the keypoints file is required.
+    The others need one row per keypoint, and descriptor rows unit norm."""
+    path = side / kind / f"{_file_stem(frame.frame_id)}.npy"
+    try:
+        values = _read_array(path, kind)
+    except FileNotFoundError:
+        if path.with_suffix(".csv").is_file():
+            raise MissingFileError("file missing; per-keypoint .csv files are no longer read", path) from None
+        if kind == "keypoints":
+            raise MissingFileError("required file missing", path=path) from None
         return
-    table = _read(path, _PER_KEYPOINT[kind])
-    n = len(table.cells)
-    if kind != "keypoints" and n != len(frame.keypoints):
-        raise InvariantError(
-            f"{n} rows of {kind} for {len(frame.keypoints)} keypoints in {frame.frame_id}",
-            path=path,
-        )
-    idx = table.block(("idx",))[:, 0]
-    if not np.array_equal(np.sort(idx), np.arange(n)):
-        seen = set()
-        for i, line in zip(idx.tolist(), table.lines):
-            if not 0 <= i < n or i in seen:
-                fault = "repeated" if i in seen else f"outside [0, {n})"
-                raise MalformedRecordError(f"idx {i} {fault}", path=path, record=line)
-            seen.add(i)
-
-    if kind == "point_ids":
-        values = table.block(("point_id",))[:, 0]
-    elif kind == "descriptors":
-        values = table.block(table.columns[1:])
-        _check_unit_rows(values, f"descriptor of {frame.frame_id}", table)
-    else:
-        values = table.block(("u", "v"))  # whatever columns follow
-        u, v = values.T
+    n, m = len(values), len(frame.keypoints)
+    if kind != "keypoints" and n != m:
+        raise InvariantError(f"{n} rows of {kind} for {m} keypoints in {frame.frame_id}", path, min(n, m))
+    if kind == "descriptors":
+        _check_unit_rows(values, f"descriptor of {frame.frame_id}", path, range(n))
+    elif kind == "keypoints":
+        u, v = values.T  # NaN is not inside
         inside = (u >= 0) & (u < frame.intrinsics.width) & (v >= 0) & (v < frame.intrinsics.height)
         if not inside.all():
             r = int(np.argmin(inside))
-            raise InvariantError(
-                f"keypoint ({u[r]}, {v[r]}) outside image bounds of {frame.frame_id}",
-                path=path,
-                record=table.lines[r],
-            )
-    ordered = np.empty_like(values)
-    ordered[idx] = values
-    setattr(frame, kind, ordered)
+            raise InvariantError(f"keypoint ({u[r]}, {v[r]}) outside image bounds of {frame.frame_id}", path, r)
+    setattr(frame, kind, values)
 
 
 def _load_side(side: Path, *, query_side: bool) -> tuple[list[Frame], list[int]]:
@@ -427,7 +435,7 @@ def _load_side(side: Path, *, query_side: bool) -> tuple[list[Frame], list[int]]
     if gd_path.is_file():
         table = _read(gd_path, ("frame_id",), n_text=1)
         vectors = table.block(table.columns)
-        _check_unit_rows(vectors, "global descriptor", table)
+        _check_unit_rows(vectors, "global descriptor", gd_path, table.lines)
         for (frame_id,), line, g in zip(table.text, table.lines, vectors):
             if frame_id not in by_id:
                 raise InvariantError(
@@ -629,24 +637,14 @@ def save_dataset(
             ),
         )
         for f in frames:
-            name = f"{_file_stem(f.frame_id)}.csv"
-            _write_table(
-                side / "keypoints" / name,
-                _PER_KEYPOINT["keypoints"],
-                ([i, *map(_fmt, kp)] for i, kp in enumerate(f.keypoints)),
-            )
-            if f.descriptors is not None:
-                _write_table(
-                    side / "descriptors" / name,
-                    ("idx", *(f"d{j}" for j in range(f.descriptors.shape[1]))),
-                    ([i, *map(_fmt, d)] for i, d in enumerate(f.descriptors)),
-                )
-            if f.point_ids is not None:
-                _write_table(
-                    side / "point_ids" / name,
-                    _PER_KEYPOINT["point_ids"],
-                    enumerate(f.point_ids.tolist()),
-                )
+            if f.descriptors is not None and not np.abs(f.descriptors).max(initial=0.0) <= _FLOAT32_MAX:
+                raise ValueError(f"descriptors of {f.frame_id} hold a value that float32 cannot")
+            for kind, (descr, _) in _PER_KEYPOINT.items():
+                if getattr(f, kind) is not None:  # same_kind: a fractional point id raises, not truncates
+                    array = np.asarray(getattr(f, kind)).astype(descr, order="C", casting="same_kind")
+                    path = side / kind / f"{_file_stem(f.frame_id)}.npy"
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    np.save(path, array, allow_pickle=False)
         gds = [(f.frame_id, f.global_descriptor) for f in frames if f.global_descriptor is not None]
         if gds:
             _write_table(

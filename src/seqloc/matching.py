@@ -15,14 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import Frame, MissingFileError, match_file_path, read_match_file
+from .ingest import _FLOAT32_MAX, Frame, MissingFileError, match_file_path, read_match_file
 
 
 class MatchingError(ValueError):
     pass
-
-
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class MatcherKind(str, enum.Enum):
@@ -111,7 +108,7 @@ def mutual_nn_match(a: Frame, b: Frame, ratio: float = 0.9, min_score: float = 0
         # NaN fails the comparison too; checked before the cast, which would warn
         if not np.abs(f.descriptors).max(initial=0.0) <= _FLOAT32_MAX:
             raise MatchingError(f"descriptors of {f.frame_id} are not finite float32 values")
-    sims = a.descriptors.astype(np.float32) @ b.descriptors.astype(np.float32).T
+    sims = a.descriptors.astype(np.float32, copy=False) @ b.descriptors.astype(np.float32, copy=False).T
     best_b = np.argmax(sims, axis=1)
     s = np.take_along_axis(sims, best_b[:, None], axis=1)[:, 0].astype(np.float64)
     ia = np.flatnonzero(s >= min_score)

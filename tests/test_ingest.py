@@ -1,6 +1,7 @@
 """Dataset loading, serialization round trips, geodetic helper, batching."""
 
 import csv
+import io
 import math
 import os
 import re
@@ -140,7 +141,8 @@ class TestRoundTrip:
             # bit-exact: every float identical
             assert (fo.pose.as_array7() == fg.pose.as_array7()).all()
             assert (fo.keypoints == fg.keypoints).all()
-            np.testing.assert_allclose(fo.descriptors, fg.descriptors, rtol=0, atol=0)
+            # descriptors are stored as float32, the precision the matcher computes in
+            np.testing.assert_allclose(fo.descriptors.astype(np.float32), fg.descriptors, rtol=0, atol=0)
         for fo, fg in zip(refs, loaded_refs):
             assert (fo.pose.as_array7() == fg.pose.as_array7()).all()
 
@@ -306,40 +308,46 @@ class TestLoadErrors:
         # Descriptors and point ids are optional; the keypoints file is not.
         save_with_point_ids(rng, tmp_path)
         for kind in ("descriptors", "point_ids"):
-            (tmp_path / "queries" / kind / "q0002.csv").unlink()
+            (tmp_path / "queries" / kind / "q0002.npy").unlink()
         frame = load_dataset(tmp_path)[0][0].rigs[2].frames["cam0"]
         assert frame.descriptors is None and frame.point_ids is None and len(frame.keypoints) == 5
-        (tmp_path / "queries" / "keypoints" / "q0002.csv").unlink()
-        with pytest.raises(MissingFileError, match=r"keypoints/q0002\.csv\]"):
+        (tmp_path / "queries" / "keypoints" / "q0002.npy").unlink()
+        with pytest.raises(MissingFileError, match=r"keypoints/q0002\.npy\]"):
             load_dataset(tmp_path)
 
     @pytest.mark.parametrize("scale", [5.0, 0.99, 1e200])
     def test_descriptor_rows_must_be_unit(self, rng, tmp_path, scale):
         # 1 +- 1e-3 is the global descriptors' rule. A row within it loads as
-        # written; scaled off it, the row raises at its line.
-        seq, _ = save_with_point_ids(rng, tmp_path)
-        path = tmp_path / "queries" / "descriptors" / "q0001.csv"
-        lines = path.read_text().splitlines()
-        idx, *row = lines[3].split(",")  # keypoint 2's row
+        # written; scaled off it, the row raises at its row. In float32 the
+        # largest scale is inf, whose norm is off too.
+        save_with_point_ids(rng, tmp_path)
+        path = tmp_path / "queries" / "descriptors" / "q0001.npy"
+        saved = np.load(path)
 
         def write(factor):
-            lines[3] = ",".join([idx, *(repr(float(c) * factor) for c in row)])
-            path.write_text("\n".join(lines) + "\n")
+            rows = saved.astype(np.float64)
+            rows[2] *= factor  # keypoint 2's row
+            with np.errstate(over="ignore"):
+                rows = rows.astype(np.float32)
+            np.save(path, rows)
+            return rows
 
-        write(1.0009)
-        want = seq.rigs[1].frames["cam0"].descriptors.copy()
-        want[2] *= 1.0009  # the file holds each product's repr, which reads back exactly
+        want = write(1.0009)
         assert load_dataset(tmp_path)[0][0].rigs[1].frames["cam0"].descriptors.tobytes() == want.tobytes()
         write(scale)
-        with pytest.raises(InvariantError, match=r"descriptor of q0001 has norm.*descriptors/q0001\.csv:4\]"):
+        with pytest.raises(InvariantError, match=r"descriptor of q0001 has norm.*descriptors/q0001\.npy:2\]"):
             load_dataset(tmp_path)
 
     def test_keypoint_out_of_bounds(self, rng, tmp_path):
         seq, refs = make_dataset(rng)
         save_dataset(tmp_path, seq, refs)
-        edit_cell(tmp_path / "queries" / "keypoints" / "q0000.csv", 1, 1, "100000.0")
-        with pytest.raises(InvariantError, match="outside image bounds"):
+        path = tmp_path / "queries" / "keypoints" / "q0000.npy"
+        keypoints = np.load(path)
+        keypoints[0, 0] = 100000.0
+        np.save(path, keypoints)
+        with pytest.raises(InvariantError, match="outside image bounds") as info:
             load_dataset(tmp_path)
+        assert info.value.record == 0
 
     def test_malformed_pose_row(self, rng, tmp_path):
         seq, refs = make_dataset(rng)
@@ -479,46 +487,185 @@ class TestLoadErrors:
             load_dataset("/nonexistent/nowhere")
 
 
-PER_KEYPOINT_COLUMNS = {"keypoints": 3, "descriptors": 9, "point_ids": 2}
+def npy_bytes(array, allow_pickle=False, version=None) -> bytes:
+    """The bytes np.save writes for array, or np.lib.format in the given format version."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asanyarray(array), version, allow_pickle)
+    return buf.getvalue()
 
-PER_KEYPOINT_FAULTS = {
-    # (line, column, new cell text)
-    "non_numeric_idx": (3, 0, "x"),
-    "non_numeric_value": (3, 1, "x"),
-    "non_finite_value": (3, 1, "nan"),
-    "repeated_idx": (3, 0, lambda rows: rows[1][0]),
-    "idx_out_of_range": (3, 0, "9"),
-    "negative_idx": (3, 0, "-1"),
-    "repeated_column_name": (1, 1, lambda rows: rows[0][0]),
+
+def edit_header(data, old, new):
+    """The bytes of a .npy file with old replaced by new in its header."""
+    start = 10 + int.from_bytes(data[8:10], "little")
+    header = data[10:start].replace(old, new)
+    return data[:8] + len(header).to_bytes(2, "little") + header + data[start:]
+
+
+def with_cell(array, value, row=2):
+    """array with its first cell of row set to value."""
+    out = array.copy()
+    out.reshape(len(out), -1)[row, 0] = value
+    return out
+
+
+# How a fault rewrites a saved per-keypoint file, from its array and bytes: the
+# new bytes, the DatasetError it raises and the record (row) that it names.
+NPY_FAULTS = {
+    "non_numeric_value": (lambda a, _: npy_bytes(a.astype(str)), MalformedRecordError, None),
+    "non_finite_value": (  # a float array of point ids is the wrong dtype
+        lambda a, _: npy_bytes(with_cell(a if a.dtype.kind == "f" else a.astype(float), np.nan)),
+        MalformedRecordError,
+        None,
+    ),
+    "wrong_dtype": (
+        lambda a, _: npy_bytes(a.astype(np.int32 if a.dtype.kind == "f" else np.float64)),
+        MalformedRecordError,
+        None,
+    ),
+    "big_endian": (lambda a, _: npy_bytes(a.astype(a.dtype.newbyteorder(">"))), MalformedRecordError, None),
+    "fortran_order": (lambda _, b: edit_header(b, b"False", b"True"), MalformedRecordError, None),
+    "row_count_of_5000_digits": (
+        lambda _, b: edit_header(b, b"(5", b"(" + b"9" * 5000), MalformedRecordError, None
+    ),
+    "extra_dimension": (lambda a, _: npy_bytes(a[None]), MalformedRecordError, None),
+    "object_array": (lambda a, _: npy_bytes(a.astype(object), allow_pickle=True), MalformedRecordError, None),
+    "truncated": (lambda _, b: b[:-1], MalformedRecordError, None),
+    "trailing_bytes": (lambda _, b: b + bytes(8), MalformedRecordError, None),
+    "format_2": (lambda a, _: npy_bytes(a, version=(2, 0)), MalformedRecordError, None),
+    "format_1_1": (lambda _, b: b[:7] + b"\x01" + b[8:], MalformedRecordError, None),
+    "tab_in_header_padding": (lambda _, b: b.replace(b" \n", b"\t\n"), MalformedRecordError, None),
+    "extra_column": (lambda a, _: npy_bytes(np.hstack([a, a[:, :1]])), MalformedRecordError, None),
+    "one_row_short": (lambda a, _: npy_bytes(a[:-1]), InvariantError, 4),
+    "one_row_over": (lambda a, _: npy_bytes(np.concatenate([a, a[:1]])), InvariantError, 5),
+    "off_unit_norm": (lambda a, _: npy_bytes(with_cell(a, a[2, 0] + np.float32(0.1))), InvariantError, 2),
+    "outside_image": (lambda a, _: npy_bytes(with_cell(a, float(K.width))), InvariantError, 2),
 }
 
+ALL_KINDS = ("descriptors", "keypoints", "point_ids")
+NPY_FAULT_KINDS = {
+    "extra_column": ("keypoints",),  # descriptors may have any width, point ids are one column
+    "one_row_short": ("descriptors", "point_ids"),  # the keypoints set the row count
+    "one_row_over": ("descriptors", "point_ids"),
+    "off_unit_norm": ("descriptors",),
+    "outside_image": ("keypoints",),
+}
+NPY_FAULT_CASES = [
+    (kind, fault) for fault in sorted(NPY_FAULTS) for kind in NPY_FAULT_KINDS.get(fault, ALL_KINDS)
+]
 
-@pytest.mark.parametrize("fault", sorted(PER_KEYPOINT_FAULTS))
-@pytest.mark.parametrize("kind", sorted(PER_KEYPOINT_COLUMNS))
+
+@pytest.mark.parametrize("kind, fault", NPY_FAULT_CASES)
 def test_per_keypoint_fault_names_file_and_line(rng, tmp_path, kind, fault):
+    # The "line" of a .npy fault is the first bad row, counted from 0, when there is one.
     save_with_point_ids(rng, tmp_path)
-    line, col, text = PER_KEYPOINT_FAULTS[fault]
-    edit_cell(tmp_path / "queries" / kind / "q0000.csv", line - 1, col, text)
-    with pytest.raises(MalformedRecordError, match=re.escape(f"{kind}/q0000.csv:{line}]")):
+    path = tmp_path / "queries" / kind / "q0000.npy"
+    rewrite, error, record = NPY_FAULTS[fault]
+    if fault == "non_finite_value" and kind != "point_ids":
+        error, record = InvariantError, 2  # NaN is neither a unit norm nor inside the image
+    path.write_bytes(rewrite(np.load(path), path.read_bytes()))
+    with pytest.raises(error, match=re.escape(f"{kind}/q0000.npy") + r"(:\d+)?\]$") as info:
+        load_dataset(tmp_path)
+    assert (info.value.path, info.value.record) == (path, record)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_per_keypoint_csv_is_no_longer_read(rng, tmp_path, kind):
+    # Without this, a descriptors or point ids .csv would be skipped as an absent optional file.
+    save_with_point_ids(rng, tmp_path)
+    path = tmp_path / "queries" / kind / "q0001.npy"
+    path.unlink()
+    path.with_suffix(".csv").write_text("idx\n")
+    with pytest.raises(MissingFileError, match=rf"\.csv files are no longer read.*{kind}/q0001\.npy\]"):
         load_dataset(tmp_path)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
+@pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf])
+def test_descriptor_float32_cannot_hold_is_not_saved(rng, tmp_path, value):
+    seq, refs = make_dataset(rng)
+    refs[1].descriptors[3, 4] = value
+    with pytest.raises(ValueError, match="r0001"):
+        save_dataset(tmp_path, seq, refs)
+
+
+def test_fractional_point_ids_are_not_saved(rng, tmp_path):
+    seq, refs = make_dataset(rng)
+    refs[1].point_ids = np.arange(5) + 0.5
+    with pytest.raises(TypeError, match="same_kind"):
+        save_dataset(tmp_path, seq, refs)
+
+
+def loads_or_names(path, root):
+    """The frame of path's stem loaded from root, or the DatasetError, which must name path."""
+    try:
+        _, refs = load_dataset(root)
+    except DatasetError as e:
+        assert e.path == path, e
+        return None
+    return next(f for f in refs if f.frame_id == path.stem)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
 @given(
-    kind=st.sampled_from(sorted(PER_KEYPOINT_COLUMNS)),
-    row=st.integers(0, 5),  # header and the five keypoints
-    col=st.integers(0, 8),
-    text=st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    kind=st.sampled_from(ALL_KINDS),
+    row=st.integers(0, 4),
+    col=st.integers(0, 7),
+    value=st.one_of(st.floats(), st.integers(-(2**63), 2**63 - 1)),
 )
-def test_fuzzed_per_keypoint_cell_loads_or_raises_dataset_error(kind, row, col, text):
+def test_fuzzed_per_keypoint_cell_loads_or_raises_dataset_error(kind, row, col, value):
+    # One cell of a reference's file set to a value of the file's dtype: it
+    # loads as written, or raises naming the file.
     with tempfile.TemporaryDirectory() as d:
         save_with_point_ids(np.random.default_rng(0), d)
-        path = Path(d) / "queries" / kind / "q0001.csv"
-        edit_cell(path, row, col % PER_KEYPOINT_COLUMNS[kind], text)
-        try:
-            load_dataset(d)
-        except DatasetError:
-            pass
+        path = Path(d) / "references" / kind / "r0001.npy"
+        array = np.load(path)
+        with warnings.catch_warnings():  # a value beyond the dtype's range wraps or turns inf
+            warnings.simplefilter("ignore")
+            array.reshape(len(array), -1)[row, col % array.reshape(len(array), -1).shape[1]] = (
+                np.asarray(value).astype(array.dtype)
+            )
+        np.save(path, array)
+        frame = loads_or_names(path, d)
+        if frame is not None:
+            assert getattr(frame, kind).tobytes() == array.tobytes()
+
+
+HEADERS = st.builds(
+    lambda dtype, shape: npy_bytes(np.zeros(shape, dtype)),
+    st.sampled_from(["<f8", "<f4", ">f8", "<i8", "<i4", "|u1"]),
+    st.lists(st.integers(0, 6), min_size=1, max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    how=st.sampled_from(["truncate", "flip", "reheader"]),
+    at=st.integers(0, 10**6),
+    bits=st.integers(1, 255),
+    header=HEADERS,
+)
+def test_corrupted_npy_loads_saved_arrays_or_raises_dataset_error(kind, how, at, bits, header):
+    # A file cut short, with one byte flipped, or behind another array's header.
+    with tempfile.TemporaryDirectory() as d:
+        save_with_point_ids(np.random.default_rng(0), d)
+        path = Path(d) / "references" / kind / "r0001.npy"
+        data = path.read_bytes()
+        saved = np.load(path)
+        start = len(data) - saved.nbytes
+        if how == "truncate":
+            data = data[: at % len(data)]
+        elif how == "flip":
+            at %= len(data)
+            data = data[:at] + bytes([data[at] ^ bits]) + data[at + 1 :]
+        else:
+            data = header[: 10 + int.from_bytes(header[8:10], "little")] + data[start:]
+        path.write_bytes(data)
+        frame = loads_or_names(path, d)
+        if frame is not None:  # a flipped data byte loads as what the file now holds
+            got = getattr(frame, kind)
+            assert (got.dtype, got.shape) == (saved.dtype, saved.shape)
+            assert got.tobytes() == data[len(data) - saved.nbytes :]
+            assert how == "flip" and at >= start or got.tobytes() == saved.tobytes()
 
 
 class Fault(NamedTuple):
@@ -663,19 +810,10 @@ def test_over_long_numeric_field_loads(rng, tmp_path):
     # The cell keeps its value behind leading zeros, so its row stays unit.
     seq, _ = save_with_point_ids(rng, tmp_path)
     pad = lambda rows: re.sub(r"^([+-]?)", r"\g<1>" + "0" * 131072, rows[2][3])
-    edit_cell(tmp_path / "queries" / "descriptors" / "q0001.csv", 2, 3, pad)
+    edit_cell(tmp_path / "queries" / "global_descriptors.csv", 2, 3, pad)  # q0001's g2
     loaded, _ = load_dataset(tmp_path)
-    assert loaded[0].rigs[1].frames["cam0"].descriptors[1, 2] == seq.rigs[1].frames["cam0"].descriptors[1, 2]
-
-
-def test_keypoints_with_an_extra_column_load(rng, tmp_path):
-    seq, _ = save_with_point_ids(rng, tmp_path)
-    path = tmp_path / "queries" / "keypoints" / "q0001.csv"
-    rows = path.read_text().splitlines()
-    path.write_text("\n".join([rows[0] + ",score"] + [r + ",0.5" for r in rows[1:]]) + "\n")
-    loaded, _ = load_dataset(tmp_path)
-    got = loaded[0].rigs[1].frames["cam0"].keypoints
-    assert got.tobytes() == seq.rigs[1].frames["cam0"].keypoints.tobytes()
+    got = loaded[0].rigs[1].frames["cam0"].global_descriptor
+    assert got.tobytes() == seq.rigs[1].frames["cam0"].global_descriptor.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -683,31 +821,11 @@ def test_keypoints_with_an_extra_column_load(rng, tmp_path):
     [("ra+x", "'ra\\+x' shares its file names with 'ra/x'"), ("ra/x", "'ra/x' repeats")],
 )
 def test_frame_ids_sharing_a_file_name(rng, tmp_path, second, message):
-    # "ra/x" and "ra+x" both save their keypoints to keypoints/ra+x.csv, as a repeated id does.
+    # "ra/x" and "ra+x" both save their keypoints to keypoints/ra+x.npy, as a repeated id does.
     seq, _ = make_dataset(rng)
     save_dataset(tmp_path, seq, [make_frame(rng, "ra/x"), make_frame(rng, second)])
     with pytest.raises(InvariantError, match=message + r".*references/poses\.csv:3\]"):
         load_dataset(tmp_path)
-
-
-@pytest.mark.parametrize(
-    "kind, col, text, error, message",
-    [
-        ("keypoints", 0, lambda rows: rows[1][0], MalformedRecordError, "idx 0 repeated"),
-        ("keypoints", 1, "100000.0", InvariantError, "outside image bounds"),
-        ("point_ids", 0, "9", MalformedRecordError, r"idx 9 outside \[0, 5\)"),
-    ],
-)
-def test_fault_after_clean_parse_names_physical_line(rng, tmp_path, kind, col, text, error, message):
-    # A blank line above the fault: the row index and the line number differ.
-    save_with_point_ids(rng, tmp_path)
-    path = tmp_path / "queries" / kind / "q0000.csv"
-    edit_cell(path, 3, col, text)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
-    with pytest.raises(error, match=message) as info:
-        load_dataset(tmp_path)
-    assert info.value.record == 5
 
 
 # Files of the two-camera rig dataset that the row fuzz edits.
@@ -715,8 +833,6 @@ FUZZED_TABLES = (
     "queries/poses.csv",
     "queries/intrinsics.csv",
     "queries/global_descriptors.csv",
-    "queries/keypoints/q0001+cam1.csv",
-    "queries/descriptors/q0001+cam1.csv",
     "references/poses.csv",
     "rig_extrinsics.csv",
 )

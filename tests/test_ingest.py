@@ -528,6 +528,15 @@ NPY_FAULTS = {
         lambda _, b: edit_header(b, b"(5", b"(" + b"9" * 5000), MalformedRecordError, None
     ),
     "extra_dimension": (lambda a, _: npy_bytes(a[None]), MalformedRecordError, None),
+    # Row i is keypoint i: the header's row count (5) stands where the idx column did.
+    "non_numeric_idx": (lambda _, b: edit_header(b, b"(5", b"('5'"), MalformedRecordError, None),
+    "negative_idx": (lambda _, b: edit_header(b, b"(5", b"(-5"), MalformedRecordError, None),
+    "idx_out_of_range": (lambda _, b: edit_header(b, b"(5", b"(6"), MalformedRecordError, None),
+    "repeated_column_name": (  # np.load takes the last of a repeated key
+        lambda _, b: edit_header(b, b"'fortran_order': False, ", b"'fortran_order': False, " * 2),
+        MalformedRecordError,
+        None,
+    ),
     "object_array": (lambda a, _: npy_bytes(a.astype(object), allow_pickle=True), MalformedRecordError, None),
     "truncated": (lambda _, b: b[:-1], MalformedRecordError, None),
     "trailing_bytes": (lambda _, b: b + bytes(8), MalformedRecordError, None),

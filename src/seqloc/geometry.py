@@ -447,14 +447,14 @@ def se3_right_jacobian_inv_many(tau: np.ndarray) -> np.ndarray:
 BEHIND_CAMERA_DEPTH = 1e-9
 
 
-def project_many_with_jacobian(
-    R: np.ndarray, pc: np.ndarray, X: np.ndarray, f: np.ndarray, c: np.ndarray
+def project_many_with_point_jacobian(
+    R: np.ndarray, pc: np.ndarray, f: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pixels (...,2), their (...,2,6) Jacobians w.r.t. a right perturbation
-    T*Exp(delta) and the (...) mask of depth > BEHIND_CAMERA_DEPTH (rows
-    outside it are finite but meaningless), for points X (...,3) with
-    camera-frame coordinates pc = R X + t (...,3), T(cam<-world) rotations R
-    (...,3,3), focal lengths f and principal points c (...,2), broadcasting.
+    """Pixels (...,2), their (...,2,3) Jacobians J_pi R w.r.t. the world point
+    and the (...) mask of depth > BEHIND_CAMERA_DEPTH (rows outside it are
+    finite but meaningless), for camera-frame coordinates pc = R X + t (...,3),
+    T(cam<-world) rotations R (...,3,3), focal lengths f and principal points
+    c (...,2), broadcasting.
     """
     valid = pc[..., 2] > BEHIND_CAMERA_DEPTH
     inv_z = 1.0 / np.where(valid, pc[..., 2], 1.0)
@@ -462,5 +462,14 @@ def project_many_with_jacobian(
     pix = uv * f + c
     # Rows of J_pi R: (f / z) (R_row - uv R_2), one (2,3) block per point.
     a = (f * inv_z[..., None])[..., None] * (R[..., :2, :] - uv[..., None] * R[..., 2:3, :])
+    return pix, a, valid
+
+
+def project_many_with_jacobian(
+    R: np.ndarray, pc: np.ndarray, X: np.ndarray, f: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """As project_many_with_point_jacobian for points X (...,3), but with the
+    (...,2,6) Jacobians w.r.t. a right perturbation T*Exp(delta) of the pose."""
+    pix, a, valid = project_many_with_point_jacobian(R, pc, f, c)
     # -J_pi R [X]x, row by row, is the cross product X x a.
     return pix, np.concatenate([a, _cross(X[..., None, :], a)], axis=-1), valid

@@ -279,7 +279,8 @@ def refine_pose(
 
 # --- LO-RANSAC -------------------------------------------------------------------
 
-BLOCK = 8  # minimal samples solved and scored together; the stop is checked per block
+BLOCK = 8  # minimal samples in a block; the stop is checked per block
+MAX_AHEAD = 32  # blocks solved and scored in one call at most, which bounds its (poses, points) errors
 LO_ROUNDS = 3  # local optimizations in a row, each only after the inlier count rose
 
 
@@ -311,6 +312,14 @@ def lo_ransac_pnp(
     block raises the best inlier count, and again while each round raises it,
     up to LO_ROUNDS rounds. The adaptive stop is checked after each block, so
     iterations round up to a whole block, but never past max_iters.
+    Until a model bounds the search below max_iters, one block is drawn at a
+    time; after that, every block the bound still asks for (up to MAX_AHEAD)
+    is drawn, solved and scored in one call and then taken block by block.
+    The Generator draws the same triples in one call as in several, and P3P
+    (which returns its solutions in sample order) and the scorer work sample
+    by sample, so the result is the same as with one call per block; only the
+    draws past the stop are wasted. The one exception is an exactly singular
+    polish system, which leaves p3p's whole call unpolished.
     Estimates with fewer than min_inliers are rejected.
     """
     obs = _observations(points, pixels, cam_idx, views)
@@ -330,10 +339,9 @@ def lo_ransac_pnp(
     best_pose, best_mask, best_count, best_rms = None, np.zeros(n, dtype=bool), 0, math.inf
     history, refined_from = [], None  # the counts adopted; the model the last refinement started from
 
-    def consider(q: np.ndarray, t: np.ndarray) -> bool:
-        """Adopt the best of the poses if it beats the model; True if the count rose."""
+    def consider(q: np.ndarray, t: np.ndarray, errs: np.ndarray) -> bool:
+        """Adopt the best of the poses, with errors errs, if it beats the model; True if the count rose."""
         nonlocal best_pose, best_mask, best_count, best_rms
-        errs = _errors(q, t, obs)
         mask = errs <= thresh_px
         count = mask.sum(axis=1)
         rms = np.sqrt((np.where(mask, errs, 0.0) ** 2).sum(axis=1) / np.maximum(count, 1))
@@ -347,20 +355,32 @@ def lo_ransac_pnp(
         history.append(best_count)
         return rose
 
-    def refine_on_inliers() -> Pose:
+    def consider_refined() -> bool:
         nonlocal refined_from
         m, refined_from = best_mask, best_pose
-        return refine_pose(best_pose, points[m], pixels[m], cam_idx[m], views, huber_px=huber_px)
+        q, t = _arrays(refine_pose(best_pose, points[m], pixels[m], cam_idx[m], views, huber_px=huber_px))
+        return consider(q, t, _errors(q, t, obs))
 
-    needed, it = max_iters, 0
+    def solve_blocks(size: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Draw size samples; (samples, q, t, errors) of each block of BLOCK samples in turn."""
+        triples = _draw_triples(rng, main_sel, size)
+        q, t, sample = p3p(points[triples], pixels[triples], K_main)
+        q, t = compose_many(np.repeat(q_gc, len(q), 0), np.repeat(t_gc, len(q), 0), q, t)
+        starts = np.arange(0, size, BLOCK)
+        cuts = np.searchsorted(sample, starts[1:])
+        parts = (np.split(a, cuts) for a in (q, t, _errors(q, t, obs)))
+        return list(zip(np.diff([*starts, size]).tolist(), *parts))
+
+    needed, it, blocks = max_iters, 0, []
     while it < min(needed, max_iters):
-        size = min(BLOCK, max_iters - it)
+        if not blocks:  # one block until a model bounds the search, then every block it still needs
+            ahead = 1 if needed >= max_iters else min(math.ceil((needed - it) / BLOCK), MAX_AHEAD)
+            blocks = solve_blocks(min(ahead * BLOCK, max_iters - it))
+        size, q, t, errs = blocks.pop(0)
         it += size
-        sample = _draw_triples(rng, main_sel, size)
-        q, t, _ = p3p(points[sample], pixels[sample], K_main)
-        if len(q) and consider(*compose_many(np.repeat(q_gc, len(q), 0), np.repeat(t_gc, len(q), 0), q, t)):
+        if len(q) and consider(q, t, errs):
             for _ in range(LO_ROUNDS):
-                if best_count < 3 or not consider(*_arrays(refine_on_inliers())):
+                if best_count < 3 or not consider_refined():
                     break
         if best_count >= 3:
             w3 = (best_count / n) ** 3
@@ -368,7 +388,7 @@ def lo_ransac_pnp(
             needed = it if w3 >= 1.0 else min(max_iters, math.ceil(log_miss / math.log(1.0 - w3)))
 
     if best_count >= 3 and best_pose is not refined_from:  # else it would repeat a rejected refinement
-        consider(*_arrays(refine_on_inliers()))
+        consider_refined()
 
     status = PoseStatus.LOCALIZED if best_count >= min_inliers else PoseStatus.REJECTED_FEW_INLIERS
     return PoseEstimate(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import in_image, pose_allclose
 import p3p_oracle
+import ransac_oracle
 import seqloc.pose_estimation as pe
 from se3_oracle import apply_many, project, project_points, project_with_jacobian
 from seqloc.geometry import CameraIntrinsics, Pose, Quaternion, boxplus
@@ -469,8 +470,9 @@ def test_batched_scorer_matches_loop(n_views, n_poses, n_points, seed):
         np.testing.assert_array_equal(reprojection_errors(T, points, pixels, cam_idx, views), got[h])
 
 
-def seeded_scene(seed: int):
-    """One or two views of 20-40 correspondences each, 0-40% of them outliers."""
+def seeded_scene(seed: int, share: float | None = None):
+    """One or two views of 20-40 correspondences each, a share of them outliers
+    (by default 0-40%, by seed)."""
     rng = np.random.default_rng(seed)
     T_true = random_camera(rng)
     views = [CameraView(K, random_camera(rng)) for _ in range(1 + seed % 2)]
@@ -482,7 +484,8 @@ def seeded_scene(seed: int):
         pix.append(np.array([project(K, W, x) for x in X]) + rng.normal(scale=0.5, size=(len(X), 2)))
         ci += [c] * len(X)
     pts, pix, ci = np.vstack(pts), np.vstack(pix), np.array(ci)
-    out = rng.permutation(len(pts))[: int(0.1 * (seed % 5) * len(pts))]
+    share = 0.1 * (seed % 5) if share is None else share
+    out = rng.permutation(len(pts))[: int(share * len(pts))]
     pix[out] += rng.uniform(20, 150, (len(out), 2)) * rng.choice([-1, 1], (len(out), 2))
     return pts, pix, ci, views
 
@@ -497,6 +500,35 @@ def test_lo_ransac_bit_identical_across_calls():
         assert a.iterations == b.iterations
         assert a.inlier_history == b.inlier_history
         assert all(x <= y for x, y in zip(a.inlier_history, a.inlier_history[1:]))
+
+
+@pytest.mark.parametrize("lo_rounds", [pe.LO_ROUNDS, 0])
+@pytest.mark.parametrize("max_ahead", [pe.MAX_AHEAD, 2])
+@pytest.mark.parametrize("max_iters", [13, 45, 203, 10000])
+@pytest.mark.parametrize("share", [0.3, 0.45, 0.6])
+def test_lo_ransac_matches_block_by_block_loop(share, max_iters, max_ahead, lo_rounds, monkeypatch):
+    # The blocks drawn ahead in one call give the estimate of one call per block.
+    # Without LO the model keeps changing block by block, so each block's
+    # hypotheses must be the ones it drew.
+    sizes, draw = [], pe._draw_triples
+    monkeypatch.setattr(pe, "_draw_triples", lambda rng, pool, size: sizes.append(size) or draw(rng, pool, size))
+    monkeypatch.setattr(pe, "MAX_AHEAD", max_ahead)
+    monkeypatch.setattr(pe, "LO_ROUNDS", lo_rounds)
+    monkeypatch.setattr(ransac_oracle, "LO_ROUNDS", lo_rounds)
+    for seed in range(6):
+        pts, pix, ci, views = seeded_scene(seed, share)
+        got = lo_ransac_pnp("f", pts, pix, ci, views, seed=seed, max_iters=max_iters)
+        want = ransac_oracle.lo_ransac_by_block("f", pts, pix, ci, views, seed=seed, max_iters=max_iters)
+        assert got.status is want.status
+        assert (got.pose is None) == (want.pose is None)
+        if got.pose is not None:
+            assert got.pose.as_array7().tobytes() == want.pose.as_array7().tobytes()
+        np.testing.assert_array_equal(got.inlier_mask, want.inlier_mask)
+        assert got.iterations == want.iterations
+        assert got.inlier_history == want.inlier_history
+    if max_iters > 100:  # at 45 the bound stays at max_iters, so blocks come one at a time
+        assert max(sizes) > pe.BLOCK
+    assert max(sizes) <= max_ahead * pe.BLOCK
 
 
 class TestBlocks:

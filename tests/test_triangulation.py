@@ -2,6 +2,7 @@
 per-pair oracle, assembly."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,8 +14,7 @@ from seqloc.geometry import CameraIntrinsics, Pose, Quaternion
 from seqloc.ingest import Frame
 from seqloc.matching import MatchSet
 from seqloc.triangulation import (
-    Corr3D2D,
-    LiftedPoint,
+    LiftedPoints,
     Reject,
     TriangulationResult,
     assemble_3d2d,
@@ -139,15 +139,13 @@ def assert_matches_oracle(T_a, T_b, ms, kps_a, kps_b, pa, pb):
     lifted = triangulate_matches(ms, T_a, T_b, K, K, kps_a, kps_b)
     near = {int(i) for i, (_, margin) in zip(ms.idx_a, oracle) if margin < 1e-9}
     expected = [(int(i), res) for i, (res, _) in zip(ms.idx_a, oracle) if res.ok]
-    assert [i for i, _ in expected if i not in near] == [
-        lp.kp_idx for lp in lifted if lp.kp_idx not in near
-    ]
-    by_idx = {lp.kp_idx: lp for lp in lifted}
+    kp_idx = lifted.kp_idx.tolist()
+    assert [i for i, _ in expected if i not in near] == [i for i in kp_idx if i not in near]
+    row = {i: k for k, i in enumerate(kp_idx)}
     for i, res in expected:
         if i not in near:
-            np.testing.assert_allclose(by_idx[i].point, res.point, rtol=0, atol=1e-9)
-            assert by_idx[i].reproj_a == pytest.approx(res.reproj_a, abs=1e-9)
-            assert by_idx[i].reproj_b == pytest.approx(res.reproj_b, abs=1e-9)
+            np.testing.assert_allclose(lifted.points[row[i]], res.point, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(lifted.reproj[row[i]], [res.reproj_a, res.reproj_b], rtol=0, atol=1e-9)
     for a, b, (res, margin) in zip(pa, pb, oracle):
         if margin < 1e-9:
             continue
@@ -280,7 +278,7 @@ class TestTriangulateMatches:
         T_a, T_b = pose_at(0.0), pose_at(0.5, 0.2)
         pix = np.array([[320.0, 240.0], [100.0, 50.0], [600.0, 400.0]])
         ms = MatchSet("a", "b", idx_a=np.arange(3), idx_b=np.arange(3), scores=np.ones(3))
-        assert triangulate_matches(ms, T_a, T_b, K, K, pix, pix) == []
+        assert len(triangulate_matches(ms, T_a, T_b, K, K, pix, pix)) == 0
         for p in pix:
             res = triangulate_pair(T_a, T_b, K, K, p, p)
             assert res.reject is Reject.DEGENERATE_RAYS
@@ -289,8 +287,27 @@ class TestTriangulateMatches:
     def test_empty_match_set(self):
         ms = MatchSet("a", "b")
         empty = np.zeros((0, 2))
-        assert triangulate_matches(ms, pose_at(0.0), pose_at(1.0), K, K, empty, empty) == []
-        assert triangulate_matches(ms, pose_at(0.0), pose_at(0.0), K, K, empty, empty) == []
+        assert len(triangulate_matches(ms, pose_at(0.0), pose_at(1.0), K, K, empty, empty)) == 0
+        assert len(triangulate_matches(ms, pose_at(0.0), pose_at(0.0), K, K, empty, empty)) == 0
+
+    def test_reject_counts_are_the_pairs_rejects(self, rng):
+        seen = Counter()
+        for baseline, noise_px, rewire in [(0.0, 0.5, 0.0), (0.02, 2.0, 0.3), (0.3, 0.5, 0.3), (1.0, 1.0, 0.4)]:
+            for _ in range(3):
+                T_a = random_pose(rng, t_scale=0.5)
+                T_b = T_a.compose(pose_at(baseline, axis=rng.normal(size=3), angle=rng.uniform(0, 10 * DEG)))
+                X_cam = np.column_stack(
+                    [rng.uniform(-2, 2, 40), rng.uniform(-1.5, 1.5, 40), rng.uniform(2, 40, 40)]
+                )
+                X_cam[:5, 2] *= -1  # behind camera a
+                ms, kps_a, kps_b, pa, pb = two_view_matches(rng, T_a, T_b, apply_many(T_a, X_cam), noise_px, rewire)
+                lifted = triangulate_matches(ms, T_a, T_b, K, K, kps_a, kps_b)
+                assert lifted.reject_counts.keys() == set(Reject)
+                assert sum(lifted.reject_counts.values()) == len(ms) - len(lifted)
+                pairs = Counter(triangulate_pair(T_a, T_b, K, K, a, b).reject for a, b in zip(pa, pb))
+                assert lifted.reject_counts == {r: pairs[r] for r in Reject}
+                seen.update(lifted.reject_counts)
+        assert all(seen[r] for r in Reject)
 
 
 # No shrinking: on a failure it runs for minutes; the unshrunk example is reported at once.
@@ -342,12 +359,63 @@ class TestAccpetedPointsProperties:
                 assert res.reproj_a <= 3.0 and res.reproj_b <= 3.0
 
 
+def lifted_points(idxs) -> LiftedPoints:
+    """Keypoints idxs lifted to (i, 0, 1), in the order given."""
+    idxs = np.array(list(idxs), dtype=np.intp)
+    points = np.column_stack([idxs, np.zeros(len(idxs)), np.ones(len(idxs))])
+    return LiftedPoints(idxs, points, np.zeros((len(idxs), 2)), dict.fromkeys(Reject, 0))
+
+
+def dict_join(lifted, candidate_matches):
+    """Oracle: assemble_3d2d as a dict from keypoint to lifted point and a loop over
+    every candidate's matches; rows are (point, ref_frame_id, ref_pixel, query_kp_idx, ref_kp_idx)."""
+    by_idx = {lp.kp_idx: lp for lp in lifted}
+    rows = []
+    for ms, ref in candidate_matches:
+        for ia, ib in zip(ms.idx_a, ms.idx_b):
+            lp = by_idx.get(int(ia))
+            if lp is not None:
+                rows.append((lp.point, ref.frame_id, np.asarray(ref.keypoints[int(ib)], dtype=float), int(ia), int(ib)))
+    return rows
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    lifted_idx=st.lists(st.integers(0, 24), max_size=20),
+    candidates=st.lists(
+        st.tuples(st.lists(st.integers(0, 24), unique=True, max_size=25), st.integers(0, 2**16)), max_size=4
+    ),
+)
+def test_assemble_matches_dict_join(lifted_idx, candidates):
+    # Query keypoints repeat across candidates, and some are not lifted. Repeated
+    # lifted keypoints: the dict keeps the last, and so must the lookup.
+    lifted = lifted_points(lifted_idx)
+    lifted.points[:] += np.arange(len(lifted_idx))[:, None]  # rows of one keypoint differ
+    candidate_matches = []
+    for c, (idx_a, seed) in enumerate(candidates):
+        rng = np.random.default_rng(seed)
+        ref = TestAssemble()._ref(rng, f"r{c}", n=30)
+        idx_b = rng.permutation(30)[: len(idx_a)]
+        candidate_matches.append((TestAssemble()._ms("q0", ref.frame_id, list(zip(idx_a, idx_b))), ref))
+    got = assemble_3d2d(lifted, candidate_matches)
+    want = dict_join(lifted, candidate_matches)
+    assert len(got) == len(want)
+    assert got.ref_ids == tuple(ref.frame_id for _, ref in candidate_matches)
+    np.testing.assert_array_equal(got.points, np.array([w[0] for w in want]).reshape(-1, 3))
+    assert [got.ref_ids[c] for c in got.cam_idx] == [w[1] for w in want]
+    np.testing.assert_array_equal(got.ref_pixels, np.array([w[2] for w in want]).reshape(-1, 2))
+    assert got.query_kp_idx.tolist() == [w[3] for w in want]
+    assert got.ref_kp_idx.tolist() == [w[4] for w in want]
+    for row, w in zip(got, want):
+        np.testing.assert_array_equal(row.point, w[0])
+        assert row.ref_frame_id == w[1]
+        np.testing.assert_array_equal(row.ref_pixel, w[2])
+        assert (row.query_kp_idx, row.ref_kp_idx) == w[3:]
+
+
 class TestAssemble:
     def _lifted(self, idxs):
-        return [
-            LiftedPoint(kp_idx=i, point=np.array([i, 0.0, 1.0]), reproj_a=0.0, reproj_b=0.0)
-            for i in idxs
-        ]
+        return lifted_points(idxs)
 
     def _ref(self, rng, frame_id, n=20):
         kps = np.column_stack([rng.uniform(0, 639, n), rng.uniform(0, 479, n)])
@@ -365,7 +433,7 @@ class TestAssemble:
     def test_no_overlap_empty(self, rng):
         ref = self._ref(rng, "r0")
         ms = self._ms("q0", "r0", [(11, 0), (12, 1)])
-        assert assemble_3d2d(self._lifted([0, 1, 2]), [(ms, ref)]) == []
+        assert len(assemble_3d2d(self._lifted([0, 1, 2]), [(ms, ref)])) == 0
 
     def test_union_over_candidates(self, rng):
         # 10 lifted; 6 matched to candidate 1, 4 to candidate 2 (2 shared kps)
